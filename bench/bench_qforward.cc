@@ -197,8 +197,7 @@ int main() {
   json << "  \"workload\": {\"input_dim\": " << input_dim
        << ", \"output_dim\": " << output_dim << ", \"grid_points\": "
        << grid.size() << ", \"iters\": " << iters << ", \"repeats\": "
-       << repeats << ", \"active_tier\": \""
-       << nn::simd::TierName(nn::simd::ActiveTier()) << "\"},\n";
+       << repeats << ", " << bench::HardwareJsonFields() << "},\n";
   json << "  \"configs\": [\n";
   json << "    {\"name\": \"fp32_scalar\", \"wall_s\": " << scalar_total.wall_s
        << ", \"items_per_s\": " << scalar_total.rows_per_s()

@@ -1,8 +1,8 @@
 // Execution-plane throughput benchmark: labels one fixed stored workload
 // through LabelingService under every combination of the plane's knobs —
-// full vs lean kernel mode, scalar vs batched Q-prediction, and (for the
-// fastest pair) the memoized replay cache — and emits a machine-readable
-// BENCH_throughput.json baseline next to the human-readable table.
+// full vs lean kernel mode, scalar vs batched Q-prediction — and emits a
+// machine-readable BENCH_throughput.json baseline next to the
+// human-readable table.
 //
 // Every configuration must produce identical labeling outcomes (summed
 // recall and execution counts are asserted); the knobs trade only cost.
@@ -37,7 +37,6 @@ struct BenchConfig {
   std::string name;
   core::KernelMode kernel_mode;
   bool batched;
-  bool cached_replay;
 };
 
 struct BenchResult {
@@ -92,11 +91,10 @@ void Run() {
   }
 
   const std::vector<BenchConfig> configs = {
-      {"full_scalar", core::KernelMode::kFull, false, false},
-      {"full_batched", core::KernelMode::kFull, true, false},
-      {"lean_scalar", core::KernelMode::kLean, false, false},
-      {"lean_batched", core::KernelMode::kLean, true, false},
-      {"lean_batched_cached", core::KernelMode::kLean, true, true},
+      {"full_scalar", core::KernelMode::kFull, false},
+      {"full_batched", core::KernelMode::kFull, true},
+      {"lean_scalar", core::KernelMode::kLean, false},
+      {"lean_batched", core::KernelMode::kLean, true},
   };
 
   std::vector<std::unique_ptr<core::LabelingService>> services;
@@ -110,15 +108,13 @@ void Run() {
             .WithConstraints(constraints)
             .WithKernelMode(config.kernel_mode)
             .WithBatchedPrediction(config.batched)
-            .WithReplayCache(config.cached_replay)
             .WithWorkers(workers)
             .Build()));
     BenchResult result;
     result.config = config;
     result.wall_s = std::numeric_limits<double>::infinity();
     results.push_back(result);
-    // Warm-up pass: touches every code path once (and fills the replay
-    // cache, the regime the sweeps' repeated-budget replays live in).
+    // Warm-up pass: touches every code path once (clone pools, scratch).
     services.back()->SubmitBatch(work);
   }
 
@@ -176,7 +172,8 @@ void Run() {
        << ", \"models\": " << zoo.num_models()
        << ", \"labels\": " << zoo.labels().total_labels()
        << ", \"deadline_s\": " << constraints.time_budget_s
-       << ", \"memory_mb\": " << constraints.memory_budget_mb << "},\n";
+       << ", \"memory_mb\": " << constraints.memory_budget_mb << ", "
+       << bench::HardwareJsonFields() << "},\n";
   json << "  \"configs\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& result = results[i];
@@ -185,8 +182,6 @@ void Run() {
                                                                   : "full")
          << "\", \"batched_prediction\": "
          << (result.config.batched ? "true" : "false")
-         << ", \"replay_cache\": "
-         << (result.config.cached_replay ? "true" : "false")
          << ", \"wall_s\": " << result.wall_s
          << ", \"items_per_s\": " << result.items_per_s
          << ", \"speedup_vs_full_scalar\": "

@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "nn/simd.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -16,6 +18,16 @@ namespace ams::bench {
 inline int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(name);
   return value != nullptr ? std::atoi(value) : fallback;
+}
+
+/// The machine fields every BENCH_*.json "workload" header carries, as a
+/// JSON fragment: core count and the SIMD tier the nn kernels dispatch to.
+/// tools/bench_compare.py refuses to compare files whose values differ.
+inline std::string HardwareJsonFields() {
+  return "\"hardware_concurrency\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"simd_tier\": \"" + nn::simd::TierName(nn::simd::ActiveTier()) +
+         "\"";
 }
 
 /// Prints a section banner so bench output reads like the paper's figures.

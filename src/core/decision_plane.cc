@@ -56,38 +56,10 @@ void DecisionPlane::ReleaseSlot(Slot* slot) {
   free_slots_.push_back(slot);
 }
 
-size_t DecisionPlane::GatherStale(const std::vector<SlotView>& views,
-                                  std::vector<PendingRequest>* out) {
-  AMS_CHECK(out != nullptr);
-  size_t appended = 0;
-  for (const SlotView& view : views) {
-    AMS_CHECK(view.first != nullptr && view.second != nullptr);
-    if (view.first->Fresh(*view.second)) continue;
-    if (ServeFromMemo(view.first, *view.second)) continue;
-    out->push_back(PendingRequest{view.first, view.second});
-    ++appended;
-  }
-  return appended;
-}
-
-void DecisionPlane::CommitRow(const PendingRequest& request, const double* row,
-                              size_t stride) {
-  AMS_CHECK(request.slot != nullptr && request.state != nullptr &&
-            row != nullptr);
-  AMS_CHECK(stride == static_cast<size_t>(predictor_->num_actions()),
-            "committed row stride does not match this plane's predictor");
-  request.slot->q_.assign(row, row + stride);
-  request.slot->labels_at_ = request.state->num_labels_set();
-  MemoizeRow(request.state->SetIndices(), row, stride);
-}
-
-void DecisionPlane::NoteExternalRound(long refreshed_rows) {
-  if (refreshed_rows <= 0) return;
-  ++batched_predictions_;
-  batched_rows_ += refreshed_rows;
-}
-
-void DecisionPlane::PrefetchArena(const std::vector<SlotView>& views) {
+void DecisionPlane::Prefetch(const std::vector<SlotView>& views) {
+  // A caller-attached arena is reset by its owner once per round; the
+  // plane's own arena is reset here.
+  if (arena_ == &own_arena_) own_arena_.Reset();
   // Parallel arrays instead of a SlotView array: std::pair is not
   // trivially copyable, which Arena::AllocArray requires.
   Slot** stale_slots = arena_->AllocArray<Slot*>(views.size());
@@ -97,6 +69,8 @@ void DecisionPlane::PrefetchArena(const std::vector<SlotView>& views) {
   for (const SlotView& view : views) {
     AMS_CHECK(view.first != nullptr && view.second != nullptr);
     if (view.first->Fresh(*view.second)) continue;
+    // States seen before — by any item, any time in the plane's life — are
+    // served straight from the row memo without a forward pass.
     if (ServeFromMemo(view.first, *view.second)) continue;
     stale_slots[n_stale] = view.first;
     stale_states[n_stale] = view.second;
@@ -104,7 +78,13 @@ void DecisionPlane::PrefetchArena(const std::vector<SlotView>& views) {
   }
   if (n_stale == 0) return;
 
-  // Same cross-item dedup as the member-vector path below.
+  // Deduplicate identical states across items: co-scheduled items share
+  // feature vectors often (every item starts all-zero, and sparse label
+  // states collide), and the predictor is a pure function of the features,
+  // so duplicates ride along on one forward row. This cross-item sharing is
+  // exactly what per-item caches cannot see. States are compared through
+  // their sorted set-index lists — tens of ints instead of the full
+  // 1000+-entry feature vector — which fully determine the binary features.
   const std::vector<float>** features =
       arena_->AllocArray<const std::vector<float>*>(n_stale);
   const std::vector<int>** indices =
@@ -141,67 +121,6 @@ void DecisionPlane::PrefetchArena(const std::vector<SlotView>& views) {
     const double* row = flat_q + row_of[i] * stride;
     stale_slots[i]->q_.assign(row, row + stride);
     stale_slots[i]->labels_at_ = stale_states[i]->num_labels_set();
-  }
-}
-
-void DecisionPlane::Prefetch(const std::vector<SlotView>& views) {
-  if (arena_ != nullptr) {
-    PrefetchArena(views);
-    return;
-  }
-  stale_.clear();
-  for (const SlotView& view : views) {
-    AMS_CHECK(view.first != nullptr && view.second != nullptr);
-    if (view.first->Fresh(*view.second)) continue;
-    // States seen before — by any item, any time in the plane's life — are
-    // served straight from the row memo without a forward pass.
-    if (ServeFromMemo(view.first, *view.second)) continue;
-    stale_.push_back(view);
-  }
-  if (stale_.empty()) return;
-
-  // Deduplicate identical states across items: co-scheduled items share
-  // feature vectors often (every item starts all-zero, and sparse label
-  // states collide), and the predictor is a pure function of the features,
-  // so duplicates ride along on one forward row. This cross-item sharing is
-  // exactly what per-item caches cannot see. States are compared through
-  // their sorted set-index lists — tens of ints instead of the full
-  // 1000+-entry feature vector — which fully determine the binary features.
-  features_.clear();
-  indices_.clear();
-  row_of_.assign(stale_.size(), 0);
-  for (size_t i = 0; i < stale_.size(); ++i) {
-    const std::vector<int>& idx = stale_[i].second->SetIndices();
-    size_t row = features_.size();
-    for (size_t u = 0; u < features_.size(); ++u) {
-      if (indices_[u]->size() == idx.size() &&
-          std::equal(idx.begin(), idx.end(), indices_[u]->begin())) {
-        row = u;
-        break;
-      }
-    }
-    if (row == features_.size()) {
-      features_.push_back(&stale_[i].second->Features());
-      indices_.push_back(&idx);
-    }
-    row_of_[i] = row;
-  }
-
-  // One batched pass into the plane's flat buffer, reused across refreshes
-  // (the per-pass vector-of-rows allocation used to show up in profiles).
-  predictor_->PredictValuesBatchInto(features_, indices_, &flat_q_);
-  const size_t stride = static_cast<size_t>(predictor_->num_actions());
-  AMS_CHECK(flat_q_.size() == features_.size() * stride,
-            "predictor returned a wrong-sized batch");
-  ++batched_predictions_;
-  batched_rows_ += static_cast<long>(features_.size());
-  for (size_t u = 0; u < features_.size(); ++u) {
-    MemoizeRow(*indices_[u], flat_q_.data() + u * stride, stride);
-  }
-  for (size_t i = 0; i < stale_.size(); ++i) {
-    const double* row = flat_q_.data() + row_of_[i] * stride;
-    stale_[i].first->q_.assign(row, row + stride);
-    stale_[i].first->labels_at_ = stale_[i].second->num_labels_set();
   }
 }
 

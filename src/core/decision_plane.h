@@ -37,6 +37,9 @@ class DecisionPlane {
   /// pay the insert cost without living long enough to profit.
   explicit DecisionPlane(ModelValuePredictor* predictor,
                          bool memoize_rows = false);
+  // Slots and the default arena pointer refer back into the plane.
+  DecisionPlane(const DecisionPlane&) = delete;
+  DecisionPlane& operator=(const DecisionPlane&) = delete;
 
   /// One item's cached view of the predictor.
   class Slot {
@@ -66,14 +69,6 @@ class DecisionPlane {
   /// A (slot, state) pair eligible for batched refresh.
   using SlotView = std::pair<Slot*, const LabelingState*>;
 
-  /// One stale slot awaiting a Q row from an externally executed forward
-  /// round (see GatherStale/CommitRow). Plain pointers, trivially copyable,
-  /// so collectors can stage these in arenas or reused flat vectors.
-  struct PendingRequest {
-    Slot* slot;
-    const LabelingState* state;
-  };
-
   /// Creates a slot owned by the plane (pointer stays valid for the plane's
   /// lifetime). Released slots are recycled, so a long-lived driver admitting
   /// an unbounded stream of items (serve::ServerRuntime) keeps a bounded
@@ -86,44 +81,20 @@ class DecisionPlane {
 
   /// Refreshes every stale slot among `views` with one batched forward pass
   /// (fresh slots are skipped; an all-fresh call costs nothing). Rows are
-  /// bitwise identical to the scalar path for batch-capable predictors. The
-  /// batched pass reuses one flat Q buffer across refreshes and hands the
-  /// predictor each state's sparse set-index list, so neither side rescans
-  /// or reallocates per round.
+  /// bitwise identical to the scalar path. The batched pass hands the
+  /// predictor each state's sparse set-index list and writes into arena
+  /// scratch, so neither side rescans or allocates per round once warm.
   void Prefetch(const std::vector<SlotView>& views);
 
   /// Routes Prefetch scratch (stale list, dedup tables, the flat Q buffer)
-  /// through a caller-owned bump arena instead of the plane's member
-  /// vectors, and the batched forward through the raw-buffer
-  /// PredictValuesBatchTo. The owner resets the arena once per tick/round,
-  /// so scratch never mallocs in steady state regardless of round size.
-  /// Pass nullptr to detach. The arena must outlive the plane or be
+  /// through a caller-owned bump arena. The owner resets the arena once per
+  /// tick/round, so scratch never mallocs in steady state regardless of
+  /// round size. Pass nullptr to go back to the plane's own arena, which
+  /// Prefetch resets itself. An attached arena must outlive the plane or be
   /// detached first; arena storage is only valid within one Prefetch call.
-  void AttachArena(util::Arena* arena) { arena_ = arena; }
-
-  /// The gather half of Prefetch, for callers that execute the forward
-  /// elsewhere (a cross-worker/shard coalescer): filters `views` exactly
-  /// like Prefetch — fresh slots skipped, memo-servable slots served and
-  /// counted as memo hits — and appends the remaining stale requests to
-  /// `out` WITHOUT issuing any forward. Every appended request must later
-  /// receive its row through CommitRow (before the underlying states
-  /// change). Returns the number of requests appended.
-  size_t GatherStale(const std::vector<SlotView>& views,
-                     std::vector<PendingRequest>* out);
-
-  /// The scatter half: writes one externally computed Q row (stride ==
-  /// predictor()->num_actions()) into a gathered request's slot, marks it
-  /// fresh for the request's state version, and memoizes the row. The row
-  /// must come from a predictor with weights identical to this plane's
-  /// (frozen serving clones), so results are bitwise identical to Prefetch.
-  void CommitRow(const PendingRequest& request, const double* row,
-                 size_t stride);
-
-  /// Accounting for one externally executed batched round this plane took
-  /// part in: counts as one batched prediction with `refreshed_rows` rows
-  /// (this plane's gathered requests, duplicates included — the external
-  /// round dedups across planes, so unique-row counts live with it).
-  void NoteExternalRound(long refreshed_rows);
+  void AttachArena(util::Arena* arena) {
+    arena_ = arena != nullptr ? arena : &own_arena_;
+  }
 
   ModelValuePredictor* predictor() const { return predictor_; }
 
@@ -150,9 +121,6 @@ class DecisionPlane {
 
   /// Serves `slot` from the plane-lifetime row memo; false on miss.
   bool ServeFromMemo(Slot* slot, const LabelingState& state);
-  /// Prefetch body when an arena is attached: identical dedup/refresh
-  /// semantics, arena-backed scratch, raw-buffer batched forward.
-  void PrefetchArena(const std::vector<SlotView>& views);
   /// Memoizes a computed row (first-come bounded; see kRowMemoCap).
   void MemoizeRow(const std::vector<int>& indices, const double* row,
                   size_t stride);
@@ -165,12 +133,6 @@ class DecisionPlane {
   ModelValuePredictor* predictor_;
   std::deque<Slot> slots_;  // deque: slot pointers must stay stable
   std::vector<Slot*> free_slots_;  // recycled by ReleaseSlot
-  // Prefetch scratch, reused across rounds to avoid per-round allocations.
-  std::vector<SlotView> stale_;
-  std::vector<const std::vector<float>*> features_;  // deduplicated rows
-  std::vector<const std::vector<int>*> indices_;  // set-index list per row
-  std::vector<size_t> row_of_;   // stale slot index -> row in features_
-  std::vector<double> flat_q_;   // one flat [rows x actions] result buffer
   /// Plane-lifetime Q-row memo keyed by state signature: items pass through
   /// shared sparse label-states (every item starts all-zero, common label
   /// combinations recur across items), so a long-lived driver — the serve
@@ -181,40 +143,14 @@ class DecisionPlane {
   std::unordered_map<std::vector<int>, std::vector<double>, IndexListHash>
       row_memo_;
   bool memoize_rows_ = false;
-  util::Arena* arena_ = nullptr;  // optional; see AttachArena
+  /// Prefetch scratch when no caller arena is attached (small: it grows to
+  /// the largest round's footprint and then stays put).
+  util::Arena own_arena_{1 << 12};
+  util::Arena* arena_ = &own_arena_;  // see AttachArena
   long scalar_predictions_ = 0;
   long batched_predictions_ = 0;
   long batched_rows_ = 0;
   long memo_hits_ = 0;
-};
-
-/// Seam through which a stepper hands its per-tick forward round to an
-/// external collector (serve::ForwardCoalescer) instead of issuing it
-/// itself via Prefetch. Lives in core:: so ItemStepper can hold the hook
-/// without a dependency on the serving layer.
-///
-/// Contract: ExecuteRound must leave `plane` in exactly the state
-/// Prefetch(views) would — every stale slot refreshed with a bitwise
-/// identical row (sound when all participating planes wrap frozen clones
-/// of the same predictor). It may block while other participants' rounds
-/// rendezvous; callers treat the call as their forward phase.
-class ForwardRoundExecutor {
- public:
-  /// Per-participant accounting for one round.
-  struct RoundStats {
-    /// This plane's stale rows handed to the round (post memo/fresh filter).
-    int gathered = 0;
-    /// Rows served from this plane's memo during the gather.
-    int memo_hits = 0;
-    /// Unique rows in the whole coalesced batch (same value reported to
-    /// every participant of the round; 0 for an empty round).
-    int cluster_rows = 0;
-  };
-
-  virtual ~ForwardRoundExecutor() = default;
-
-  virtual RoundStats ExecuteRound(DecisionPlane* plane,
-                                  const std::vector<DecisionPlane::SlotView>& views) = 0;
 };
 
 }  // namespace ams::core

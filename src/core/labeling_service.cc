@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "core/value.h"
@@ -48,24 +47,6 @@ class PolicyWithPredictor : public sched::SchedulingPolicy {
 };
 
 }  // namespace
-
-/// Memoized replay contexts keyed by stored item id. Shared by every worker
-/// of the session: the contexts themselves are thread-safe, the map is
-/// guarded here.
-struct LabelingService::ReplayCacheState {
-  std::mutex mu;
-  std::unordered_map<int, std::unique_ptr<CachedReplayExecutionContext>> items;
-
-  const CachedReplayExecutionContext* GetOrCreate(const data::Oracle* oracle,
-                                                  int item) {
-    std::lock_guard<std::mutex> lock(mu);
-    std::unique_ptr<CachedReplayExecutionContext>& slot = items[item];
-    if (slot == nullptr) {
-      slot = std::make_unique<CachedReplayExecutionContext>(oracle, item);
-    }
-    return slot.get();
-  }
-};
 
 /// Per-worker predictor clones, created on first use and reused for the
 /// session's lifetime. Cloning an rl::Agent round-trips every weight
@@ -144,9 +125,6 @@ struct LabelingService::ItemRun {
 };
 
 LabelingService::LabelingService(Config config) : config_(std::move(config)) {
-  if (config_.cache_replay) {
-    replay_cache_ = std::make_shared<ReplayCacheState>();
-  }
   if (config_.predictor != nullptr) {
     predictor_pool_ = std::make_shared<PredictorPool>();
   }
@@ -193,13 +171,9 @@ std::unique_ptr<LabelingService::ItemRun> LabelingService::PrepareItem(
 
   auto run = std::make_unique<ItemRun>();
   if (stored) {
-    if (replay_cache_ != nullptr) {
-      run->exec = replay_cache_->GetOrCreate(config_.oracle, item.item);
-    } else {
-      run->owned_exec =
-          std::make_unique<ReplayExecutionContext>(config_.oracle, item.item);
-      run->exec = run->owned_exec.get();
-    }
+    run->owned_exec =
+        std::make_unique<ReplayExecutionContext>(config_.oracle, item.item);
+    run->exec = run->owned_exec.get();
     run->acc.emplace(config_.oracle, item.item);
   } else {
     run->owned_exec =
@@ -331,11 +305,9 @@ void LabelingService::RunCoScheduled(
   // block measurably thrashes once hundreds of items cycle per round.
   constexpr size_t kWaveSize = 16;
 
+  // The plane's own arena holds its batch scratch, rewound every event
+  // round, so rounds re-use one warm block.
   DecisionPlane plane(state->predictor);
-  // Worker-local scratch for the plane's batch buffers, rewound every event
-  // round — rounds re-use one warm block instead of growing member vectors.
-  util::Arena arena;
-  plane.AttachArena(&arena);
   std::vector<DecisionPlane::SlotView> views;
   for (size_t wave_begin = 0; wave_begin < n; wave_begin += kWaveSize) {
     const size_t wave = std::min(kWaveSize, n - wave_begin);
@@ -366,7 +338,6 @@ void LabelingService::RunCoScheduled(
           views.push_back({slots[i], &kernels[i]->state()});
         }
       }
-      arena.Reset();
       plane.Prefetch(views);
       any_live = false;
       for (size_t i = 0; i < wave; ++i) {
@@ -417,11 +388,6 @@ void LabelingService::ItemStepper::AttachTracer(const obs::Tracer* tracer,
   }
 }
 
-void LabelingService::ItemStepper::AttachForwardExecutor(
-    ForwardRoundExecutor* executor) {
-  forward_executor_ = executor;
-}
-
 uint64_t LabelingService::ItemStepper::Admit(const WorkItem& item,
                                              uint64_t stream_id) {
   const uint64_t ticket = next_ticket_++;
@@ -464,13 +430,6 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
   for (Completion& done : pending_) completed->push_back(std::move(done));
   pending_.clear();
   if (inflight_.empty()) {
-    // A barrier-style forward executor must still see this participant once
-    // per tick (other participants' rounds rendezvous on it), so run an
-    // empty round before returning.
-    if (forward_executor_ != nullptr && plane_ != nullptr) {
-      views_.clear();
-      forward_executor_->ExecuteRound(plane_.get(), views_);
-    }
     FinishTickSpan(&tick_span, resident_at_entry,
                    static_cast<int>(completed->size() - completed_at_entry));
     return;
@@ -478,9 +437,9 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
 
   // One deduplicated batched forward pass refreshes every resident item
   // still consulting the picker; items mid-drain (stopped, or nothing new
-  // to start) skip the Q refresh entirely. With a forward executor attached
-  // the round is handed off instead — gathered, coalesced with other
-  // participants, and committed back — with bitwise-identical rows.
+  // to start) skip the Q refresh entirely. The forward span and TickStats
+  // read the plane's counters around the call; untraced, the span is
+  // inactive and costs one branch.
   if (plane_ != nullptr) {
     views_.clear();
     for (const InFlight& flight : inflight_) {
@@ -488,38 +447,19 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
         views_.push_back({flight.slot, &flight.kernel->state()});
       }
     }
-    if (forward_executor_ != nullptr) {
-      if (tick_span.active() && !views_.empty()) {
-        // The forward span covers the whole handed-off round, including the
-        // rendezvous wait for co-participants — that wait IS this stepper's
-        // forward phase under coalescing.
-        obs::ScopedSpan forward_span(tracer_, trace_lane_, trace_clock_,
-                                     obs::Phase::kForward);
-        const ForwardRoundExecutor::RoundStats round =
-            forward_executor_->ExecuteRound(plane_.get(), views_);
-        forward_span.set_args(round.gathered, round.memo_hits, backend_tier_,
-                              backend_int8_ ? 1 : 0);
-        tick_stats_.forward_s = forward_span.Close();
-        tick_stats_.forward_rows = round.gathered;
-        tick_stats_.memo_hits = round.memo_hits;
-        tick_stats_.cluster_rows = round.cluster_rows;
-      } else {
-        forward_executor_->ExecuteRound(plane_.get(), views_);
-      }
-    } else if (tick_span.active() && !views_.empty()) {
-      obs::ScopedSpan forward_span(tracer_, trace_lane_, trace_clock_,
-                                   obs::Phase::kForward);
-      const long rows_before = plane_->batched_rows();
-      const long memo_before = plane_->memo_hits();
-      plane_->Prefetch(views_);
+    obs::ScopedSpan forward_span(
+        tick_span.active() && !views_.empty() ? tracer_ : nullptr,
+        trace_lane_, trace_clock_, obs::Phase::kForward);
+    const long rows_before = plane_->batched_rows();
+    const long memo_before = plane_->memo_hits();
+    plane_->Prefetch(views_);
+    if (forward_span.active()) {
       const int rows = static_cast<int>(plane_->batched_rows() - rows_before);
       const int hits = static_cast<int>(plane_->memo_hits() - memo_before);
       forward_span.set_args(rows, hits, backend_tier_, backend_int8_ ? 1 : 0);
       tick_stats_.forward_s = forward_span.Close();
       tick_stats_.forward_rows = rows;
       tick_stats_.memo_hits = hits;
-    } else {
-      plane_->Prefetch(views_);
     }
   }
 
@@ -835,11 +775,6 @@ LabelingServiceBuilder& LabelingServiceBuilder::WithQuantizedInference(
   return *this;
 }
 
-LabelingServiceBuilder& LabelingServiceBuilder::WithReplayCache(bool cache) {
-  config_.cache_replay = cache;
-  return *this;
-}
-
 LabelingServiceBuilder& LabelingServiceBuilder::WithWorkers(int workers) {
   config_.workers = workers;
   return *this;
@@ -939,10 +874,6 @@ LabelingService LabelingServiceBuilder::Build() const {
     AMS_CHECK(config.predictor != nullptr,
               "batched prediction coalesces predictor Q-queries; configure "
               "WithPredictor");
-  }
-  if (config.cache_replay) {
-    AMS_CHECK(config.oracle != nullptr,
-              "replay caching memoizes stored outputs; configure WithOracle");
   }
   if (config.quantized_inference) {
     AMS_CHECK(config.predictor != nullptr,

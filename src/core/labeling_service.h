@@ -92,11 +92,10 @@ struct WorkEstimate {
 /// the pooled per-worker predictor clones are shared session state).
 ///
 /// Execution plane knobs (see the builder): WithKernelMode(kLean) skips
-/// result materialization for recall-only paths, WithBatchedPrediction(true)
-/// lets each SubmitBatch/Run worker co-schedule its items and coalesce their
-/// Q-queries into one batched forward pass per event round, and
-/// WithReplayCache(true) shares memoized per-item replay contexts across
-/// workers and batches. None of the knobs changes any outcome — only cost.
+/// result materialization for recall-only paths, and
+/// WithBatchedPrediction(true) lets each SubmitBatch/Run worker co-schedule
+/// its items and batch their Q-queries into one forward pass per event
+/// round. Neither knob changes any outcome — only cost.
 class LabelingService {
  public:
   using Sink = std::function<void(const WorkItem&, const LabelOutcome&)>;
@@ -127,7 +126,6 @@ class LabelingService {
   KernelMode kernel_mode() const { return config_.kernel_mode; }
   bool batched_prediction() const { return config_.batch_predictions; }
   bool quantized_inference() const { return config_.quantized_inference; }
-  bool replay_cache_enabled() const { return replay_cache_ != nullptr; }
   const ScheduleConstraints& constraints() const {
     return config_.constraints;
   }
@@ -194,7 +192,6 @@ class LabelingService {
     ExecutionMode mode = ExecutionMode::kGreedy;
     KernelMode kernel_mode = KernelMode::kFull;
     bool batch_predictions = false;
-    bool cache_replay = false;
     bool quantized_inference = false;
     int workers = 0;  // <= 0: resolved to hardware concurrency in Build()
     uint64_t seed = 1;
@@ -216,9 +213,6 @@ class LabelingService {
   /// Everything one item's kernel run needs, heap-allocated so the hooks'
   /// captured pointers stay stable (defined in the .cc).
   struct ItemRun;
-  /// Session-level memoized replay contexts, shared across workers (defined
-  /// in the .cc).
-  struct ReplayCacheState;
   /// Session-level per-worker predictor clones, reused across SubmitBatch
   /// calls — cloning a Q-net serializes megabytes of weights, far too
   /// expensive to repeat per batch (defined in the .cc).
@@ -253,10 +247,8 @@ class LabelingService {
                       DecisionState* state) const;
 
   Config config_;
-  /// Present iff the session caches replay contexts (Config::cache_replay);
-  /// shared_ptr so the service stays movable with an incomplete type.
-  std::shared_ptr<ReplayCacheState> replay_cache_;
-  /// Present iff the session has a clonable predictor.
+  /// Present iff the session has a predictor; shared_ptr so the service
+  /// stays movable with an incomplete type.
   std::shared_ptr<PredictorPool> predictor_pool_;
 
   // Session-level state for sequential Submit().
@@ -296,17 +288,14 @@ class LabelingService::ItemStepper {
   /// can fold phase durations into its metrics without timing the tick a
   /// second time. `traced` is false (and the rest zero) when no tracer was
   /// attached, the tracer was disabled, or the tick had nothing resident.
+  /// `forward_rows`/`memo_hits` are the plane's batched_rows()/memo_hits()
+  /// deltas across the tick's one Prefetch call.
   struct TickStats {
     bool traced = false;
     double tick_s = 0.0;
     double forward_s = 0.0;
     int forward_rows = 0;
     int memo_hits = 0;
-    /// Unique rows in the cluster-coalesced batch this tick's forward rode
-    /// in (0 when the stepper issued its own forward — no executor
-    /// attached — or the round was empty). Rows per cluster batch, not per
-    /// stepper: the coalescer's amortization is only visible here.
-    int cluster_rows = 0;
     int resident = 0;
     int completed = 0;
     std::size_t arena_used = 0;
@@ -320,18 +309,6 @@ class LabelingService::ItemStepper {
   /// the zero-allocation steady-state tick contract holds with tracing on.
   void AttachTracer(const obs::Tracer* tracer, obs::TraceBuffer* lane,
                     const util::Clock* clock);
-
-  /// Hands this stepper's per-tick forward round to an external executor
-  /// (serve::ForwardCoalescer handle) instead of the plane's own Prefetch.
-  /// While attached, EVERY Tick() — including empty ones — runs one
-  /// ExecuteRound so barrier-style executors see each participant exactly
-  /// once per tick. Only meaningful for predictor-driven steppers; the
-  /// executor must outlive the stepper. Pass nullptr to detach.
-  void AttachForwardExecutor(ForwardRoundExecutor* executor);
-
-  /// True when this stepper schedules through a Q predictor (and thus has a
-  /// decision plane a forward executor can coalesce).
-  bool predictor_driven() const { return plane_ != nullptr; }
 
   const TickStats& last_tick_stats() const { return tick_stats_; }
 
@@ -352,8 +329,8 @@ class LabelingService::ItemStepper {
 
   const LabelingService* session_;
   DecisionState state_;
-  /// Present iff the session is predictor-driven: the coalescing point for
-  /// the per-tick batched forward pass.
+  /// Present iff the session is predictor-driven: the one place the
+  /// per-tick batched forward pass is issued.
   std::unique_ptr<DecisionPlane> plane_;
   /// Worker-affine scratch for the plane's per-tick batch buffers, rewound
   /// at the top of every Tick so steady-state ticks never malloc.
@@ -371,9 +348,6 @@ class LabelingService::ItemStepper {
   const util::Clock* trace_clock_ = nullptr;
   int backend_tier_ = -1;
   bool backend_int8_ = false;
-  /// External forward round executor (AttachForwardExecutor): null means
-  /// the stepper issues its own Prefetch per tick.
-  ForwardRoundExecutor* forward_executor_ = nullptr;
   TickStats tick_stats_;
 };
 
@@ -428,10 +402,6 @@ class LabelingServiceBuilder {
   /// frozen). Falls back to fp32 clones when the predictor has no quantized
   /// form. Needs WithPredictor.
   LabelingServiceBuilder& WithQuantizedInference(bool quantized);
-  /// Memoizes per-item replay contexts for the session's lifetime, shared
-  /// across workers and batches: each (item, model) execution is fetched
-  /// once and served by reference thereafter. Needs WithOracle.
-  LabelingServiceBuilder& WithReplayCache(bool cache);
   /// Worker threads for SubmitBatch/Run; <= 0 means hardware concurrency.
   LabelingServiceBuilder& WithWorkers(int workers);
   LabelingServiceBuilder& WithSeed(uint64_t seed);

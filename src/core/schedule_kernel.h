@@ -1,11 +1,9 @@
 #ifndef AMS_CORE_SCHEDULE_KERNEL_H_
 #define AMS_CORE_SCHEDULE_KERNEL_H_
 
-#include <atomic>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/decision_plane.h"
@@ -86,11 +84,6 @@ class ExecutionContext {
   /// the oracle's stored vectors directly (no copies), live contexts return
   /// an internal buffer that stays valid until the next Execute call.
   virtual const std::vector<zoo::LabelOutput>& Execute(int model) const = 0;
-
-  /// True when every Execute reference stays valid for the context's whole
-  /// lifetime (backing storage, not a recycled buffer). Memoizing wrappers
-  /// keep such references instead of copying.
-  virtual bool StableOutputs() const { return false; }
 };
 
 /// Live inference on one scene via ModelZoo::Execute. Never peeks at outputs
@@ -123,8 +116,6 @@ class ReplayExecutionContext : public ExecutionContext {
   double PlannedTime(int model) const override;
   double RealizedTime(int model) const override;
   const std::vector<zoo::LabelOutput>& Execute(int model) const override;
-  /// Outputs are the oracle's own storage.
-  bool StableOutputs() const override { return true; }
 
   const data::Oracle& oracle() const { return *oracle_; }
   int item() const { return item_; }
@@ -132,59 +123,6 @@ class ReplayExecutionContext : public ExecutionContext {
  private:
   const data::Oracle* oracle_;
   int item_;
-};
-
-/// Memoizing decorator over any ExecutionContext: Execute(model) and
-/// RealizedTime(model) hit the inner context once per model and are served
-/// by reference thereafter. Two uses: (a) one item replayed under many
-/// budgets (the deadline/memory sweeps) executes each model's data exactly
-/// once across all runs, and (b) a stochastic live context becomes a fixed
-/// replay of its first realization, so repeated runs are comparable.
-///
-/// Thread-safe: entries are filled under a mutex into preallocated slots, so
-/// concurrent kernel runs (LabelingService workers) may share one instance.
-class CachedReplayExecutionContext : public ExecutionContext {
- public:
-  /// Borrows `inner`; it must outlive this context.
-  explicit CachedReplayExecutionContext(const ExecutionContext* inner);
-  /// Owns `inner`.
-  explicit CachedReplayExecutionContext(std::unique_ptr<ExecutionContext> inner);
-  /// Convenience: caches a replay of one stored item.
-  CachedReplayExecutionContext(const data::Oracle* oracle, int item);
-
-  const zoo::ModelZoo& zoo() const override { return inner_->zoo(); }
-  double PlannedTime(int model) const override;
-  double RealizedTime(int model) const override;
-  const std::vector<zoo::LabelOutput>& Execute(int model) const override;
-  /// Memoized entries live as long as this context, so nesting works.
-  bool StableOutputs() const override { return true; }
-
-  const ExecutionContext& inner() const { return *inner_; }
-
- private:
-  /// Shared tail of the constructors: entry slots + planned-time preload.
-  void Init();
-  /// Filled once under the mutex, then served lock-free: `ready` is the
-  /// release/acquire gate for the payload, so steady-state reads (every
-  /// replay after the first) cost one atomic load.
-  struct Entry {
-    std::atomic<bool> time_ready{false};
-    std::atomic<bool> outputs_ready{false};
-    double realized_time = 0.0;
-    /// Points at the inner context's storage when it is stable (replay);
-    /// otherwise `owned_outputs` holds a copy made once.
-    const std::vector<zoo::LabelOutput>* outputs = nullptr;
-    std::vector<zoo::LabelOutput> owned_outputs;
-  };
-
-  Entry& EntryFor(int model) const;
-
-  std::unique_ptr<ExecutionContext> owned_inner_;
-  const ExecutionContext* inner_;
-  std::vector<double> planned_times_;  // preloaded per model
-  mutable std::mutex mu_;
-  mutable std::unique_ptr<Entry[]> entries_;  // preallocated: stable addresses
-  int num_entries_ = 0;
 };
 
 /// A scheduling decision point: everything a picker may inspect.

@@ -170,12 +170,6 @@ class ShardRouter final : public ShardLoadView {
   const serve::Clock* clock_;
   std::unique_ptr<Placement> owned_placement_;
   Placement* placement_;
-  /// The cluster-wide forward coalescer (when serve.coalesce_forwards or
-  /// AMS_COALESCE asks for one): every shard joins the SAME instance, so a
-  /// round pools stale Q rows across ALL shards' workers — one device-sized
-  /// batch per cluster tick. Declared before shards_ so the shards (whose
-  /// workers hold handles into it) are destroyed first.
-  std::unique_ptr<serve::ForwardCoalescer> owned_coalescer_;
   std::vector<std::unique_ptr<serve::ServerRuntime>> shards_;
   /// Heap array because vector<atomic> cannot resize (atomics are
   /// immovable); sized num_shards at construction.

@@ -133,18 +133,7 @@ void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
   AtomicMax(&max_, other.max_.load(std::memory_order_relaxed));
 }
 
-void ClassMetrics::MergeFrom(const ClassMetrics& other) {
-  AddCounter(&enqueued, other.enqueued);
-  AddCounter(&completed, other.completed);
-  AddCounter(&rejected, other.rejected);
-  AddCounter(&shed, other.shed);
-  AddCounter(&shutdown_refused, other.shutdown_refused);
-  AddCounter(&deadline_misses, other.deadline_misses);
-  queue_delay.MergeFrom(other.queue_delay);
-  total_latency.MergeFrom(other.total_latency);
-}
-
-void TenantMetrics::MergeFrom(const TenantMetrics& other) {
+void SliceMetrics::MergeFrom(const SliceMetrics& other) {
   AddCounter(&enqueued, other.enqueued);
   AddCounter(&completed, other.completed);
   AddCounter(&rejected, other.rejected);
@@ -169,13 +158,6 @@ void Metrics::RecordForward(double forward_s, int rows) {
   AtomicMaxLong(&forward_rows_max, rows);
 }
 
-void Metrics::RecordCoalescedRound(int gathered_rows, int unique_rows) {
-  coalesced_rounds.fetch_add(1, std::memory_order_relaxed);
-  coalesced_gathered_rows.fetch_add(gathered_rows, std::memory_order_relaxed);
-  coalesced_rows.fetch_add(unique_rows, std::memory_order_relaxed);
-  AtomicMaxLong(&coalesced_rows_max, unique_rows);
-}
-
 void Metrics::MergeFrom(const Metrics& other) {
   AddCounter(&enqueued, other.enqueued);
   AddCounter(&completed, other.completed);
@@ -195,16 +177,11 @@ void Metrics::MergeFrom(const Metrics& other) {
   forward_duration.MergeFrom(other.forward_duration);
   AddCounter(&forward_batches, other.forward_batches);
   AddCounter(&forward_rows, other.forward_rows);
-  AddCounter(&coalesced_rounds, other.coalesced_rounds);
-  AddCounter(&coalesced_gathered_rows, other.coalesced_gathered_rows);
-  AddCounter(&coalesced_rows, other.coalesced_rows);
   // Gauge/high-water policy (regression-locked by route_metrics_merge_test):
   // counters sum across shards, high-water marks take the max — a 4-shard
   // aggregate's high water is the highest shard's, never 4x one shard's.
   AtomicMaxLong(&forward_rows_max,
                 other.forward_rows_max.load(std::memory_order_relaxed));
-  AtomicMaxLong(&coalesced_rows_max,
-                other.coalesced_rows_max.load(std::memory_order_relaxed));
   AtomicMaxLong(&arena_high_water_bytes,
                 other.arena_high_water_bytes.load(std::memory_order_relaxed));
   for (int c = 0; c < kNumPriorityClasses; ++c) {
@@ -221,13 +198,13 @@ void Metrics::MergeFrom(const Metrics& other) {
   }
 }
 
-TenantMetrics& Metrics::for_tenant(int tenant_id) {
+SliceMetrics& Metrics::for_tenant(int tenant_id) {
   if (tenant_id == 0) return default_tenant_;
   std::lock_guard<std::mutex> lock(tenants_mu_);
   return tenants_[tenant_id];
 }
 
-const TenantMetrics* Metrics::find_tenant(int tenant_id) const {
+const SliceMetrics* Metrics::find_tenant(int tenant_id) const {
   if (tenant_id == 0) return &default_tenant_;
   std::lock_guard<std::mutex> lock(tenants_mu_);
   const auto it = tenants_.find(tenant_id);
@@ -256,41 +233,38 @@ namespace {
 struct CounterSnapshot {
   long enqueued, completed, rejected, quota_rejected, shed, shutdown_refused,
       deadline_misses, migrated_in, migrated_out, queue_depth, in_flight,
-      forward_batches, forward_rows, forward_rows_max, arena_high_water_bytes,
-      coalesced_rounds, coalesced_gathered_rows, coalesced_rows,
-      coalesced_rows_max;
+      forward_batches, forward_rows, forward_rows_max, arena_high_water_bytes;
 };
 
-struct ClassSnapshot {
-  long enqueued, completed, rejected, shed, shutdown_refused, deadline_misses;
-};
-
-struct TenantSnapshot {
+struct SliceSnapshot {
   long enqueued, completed, rejected, quota_rejected, shed, shutdown_refused,
       deadline_misses;
 };
 
-ClassSnapshot LoadClass(const ClassMetrics& cls) {
-  ClassSnapshot s;
-  s.enqueued = cls.enqueued.load(std::memory_order_relaxed);
-  s.completed = cls.completed.load(std::memory_order_relaxed);
-  s.rejected = cls.rejected.load(std::memory_order_relaxed);
-  s.shed = cls.shed.load(std::memory_order_relaxed);
-  s.shutdown_refused = cls.shutdown_refused.load(std::memory_order_relaxed);
-  s.deadline_misses = cls.deadline_misses.load(std::memory_order_relaxed);
+SliceSnapshot LoadSlice(const SliceMetrics& slice) {
+  SliceSnapshot s;
+  s.enqueued = slice.enqueued.load(std::memory_order_relaxed);
+  s.completed = slice.completed.load(std::memory_order_relaxed);
+  s.rejected = slice.rejected.load(std::memory_order_relaxed);
+  s.quota_rejected = slice.quota_rejected.load(std::memory_order_relaxed);
+  s.shed = slice.shed.load(std::memory_order_relaxed);
+  s.shutdown_refused = slice.shutdown_refused.load(std::memory_order_relaxed);
+  s.deadline_misses = slice.deadline_misses.load(std::memory_order_relaxed);
   return s;
 }
 
-TenantSnapshot LoadTenant(const TenantMetrics& tenant) {
-  TenantSnapshot s;
-  s.enqueued = tenant.enqueued.load(std::memory_order_relaxed);
-  s.completed = tenant.completed.load(std::memory_order_relaxed);
-  s.rejected = tenant.rejected.load(std::memory_order_relaxed);
-  s.quota_rejected = tenant.quota_rejected.load(std::memory_order_relaxed);
-  s.shed = tenant.shed.load(std::memory_order_relaxed);
-  s.shutdown_refused = tenant.shutdown_refused.load(std::memory_order_relaxed);
-  s.deadline_misses = tenant.deadline_misses.load(std::memory_order_relaxed);
-  return s;
+/// One slice's JSON object. Class slices omit `quota_rejected` (quotas are
+/// per tenant, so the counter is always 0 there).
+void WriteSliceJson(const SliceSnapshot& s, const SliceMetrics& slice,
+                    bool with_quota, std::ostream& out) {
+  out << "{\"enqueued\": " << s.enqueued << ", \"completed\": " << s.completed
+      << ", \"rejected\": " << s.rejected;
+  if (with_quota) out << ", \"quota_rejected\": " << s.quota_rejected;
+  out << ", \"shed\": " << s.shed
+      << ", \"shutdown_refused\": " << s.shutdown_refused
+      << ", \"deadline_misses\": " << s.deadline_misses
+      << ", \"queue_delay\": " << slice.queue_delay.SnapshotJson()
+      << ", \"total\": " << slice.total_latency.SnapshotJson() << "}";
 }
 
 }  // namespace
@@ -315,24 +289,18 @@ std::string Metrics::SnapshotJson(double uptime_s) const {
   top.forward_rows_max = forward_rows_max.load(std::memory_order_relaxed);
   top.arena_high_water_bytes =
       arena_high_water_bytes.load(std::memory_order_relaxed);
-  top.coalesced_rounds = coalesced_rounds.load(std::memory_order_relaxed);
-  top.coalesced_gathered_rows =
-      coalesced_gathered_rows.load(std::memory_order_relaxed);
-  top.coalesced_rows = coalesced_rows.load(std::memory_order_relaxed);
-  top.coalesced_rows_max =
-      coalesced_rows_max.load(std::memory_order_relaxed);
-  std::array<ClassSnapshot, kNumPriorityClasses> classes;
+  std::array<SliceSnapshot, kNumPriorityClasses> classes;
   for (int c = 0; c < kNumPriorityClasses; ++c) {
-    classes[static_cast<size_t>(c)] = LoadClass(by_class[static_cast<size_t>(c)]);
+    classes[static_cast<size_t>(c)] = LoadSlice(by_class[static_cast<size_t>(c)]);
   }
-  std::vector<std::pair<int, TenantSnapshot>> tenants;
-  std::vector<const TenantMetrics*> tenant_slices;
-  tenants.emplace_back(0, LoadTenant(default_tenant_));
+  std::vector<std::pair<int, SliceSnapshot>> tenants;
+  std::vector<const SliceMetrics*> tenant_slices;
+  tenants.emplace_back(0, LoadSlice(default_tenant_));
   tenant_slices.push_back(&default_tenant_);
   {
     std::lock_guard<std::mutex> lock(tenants_mu_);
     for (const auto& [tenant_id, tenant] : tenants_) {
-      tenants.emplace_back(tenant_id, LoadTenant(tenant));
+      tenants.emplace_back(tenant_id, LoadSlice(tenant));
       tenant_slices.push_back(&tenant);
     }
   }
@@ -372,45 +340,21 @@ std::string Metrics::SnapshotJson(double uptime_s) const {
                                  static_cast<double>(top.forward_batches)
                            : 0.0)
       << ", \"arena_high_water_bytes\": " << top.arena_high_water_bytes
-      << ", \"coalesced_rounds\": " << top.coalesced_rounds
-      << ", \"coalesced_gathered_rows\": " << top.coalesced_gathered_rows
-      << ", \"coalesced_rows\": " << top.coalesced_rows
-      << ", \"coalesced_rows_max\": " << top.coalesced_rows_max
-      << ", \"coalesced_rows_mean\": "
-      << FormatSeconds(top.coalesced_rounds > 0
-                           ? static_cast<double>(top.coalesced_rows) /
-                                 static_cast<double>(top.coalesced_rounds)
-                           : 0.0)
       << "},\n";
   out << "  \"classes\": {";
   for (int c = 0; c < kNumPriorityClasses; ++c) {
-    const ClassSnapshot& s = classes[static_cast<size_t>(c)];
-    const ClassMetrics& cls = by_class[static_cast<size_t>(c)];
     if (c > 0) out << ", ";
-    out << "\"" << PriorityClassName(static_cast<PriorityClass>(c))
-        << "\": {\"enqueued\": " << s.enqueued
-        << ", \"completed\": " << s.completed
-        << ", \"rejected\": " << s.rejected << ", \"shed\": " << s.shed
-        << ", \"shutdown_refused\": " << s.shutdown_refused
-        << ", \"deadline_misses\": " << s.deadline_misses
-        << ", \"queue_delay\": " << cls.queue_delay.SnapshotJson()
-        << ", \"total\": " << cls.total_latency.SnapshotJson() << "}";
+    out << "\"" << PriorityClassName(static_cast<PriorityClass>(c)) << "\": ";
+    WriteSliceJson(classes[static_cast<size_t>(c)],
+                   by_class[static_cast<size_t>(c)], /*with_quota=*/false, out);
   }
   out << "},\n";
   out << "  \"tenants\": {";
   for (size_t i = 0; i < tenants.size(); ++i) {
-    const auto& [tenant_id, s] = tenants[i];
-    const TenantMetrics& tenant = *tenant_slices[i];
     if (i > 0) out << ", ";
-    out << "\"" << tenant_id << "\": {\"enqueued\": " << s.enqueued
-        << ", \"completed\": " << s.completed
-        << ", \"rejected\": " << s.rejected
-        << ", \"quota_rejected\": " << s.quota_rejected
-        << ", \"shed\": " << s.shed
-        << ", \"shutdown_refused\": " << s.shutdown_refused
-        << ", \"deadline_misses\": " << s.deadline_misses
-        << ", \"queue_delay\": " << tenant.queue_delay.SnapshotJson()
-        << ", \"total\": " << tenant.total_latency.SnapshotJson() << "}";
+    out << "\"" << tenants[i].first << "\": ";
+    WriteSliceJson(tenants[i].second, *tenant_slices[i], /*with_quota=*/true,
+                   out);
   }
   out << "}\n";
   out << "}";

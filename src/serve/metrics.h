@@ -71,31 +71,17 @@ class LatencyHistogram {
   std::atomic<double> max_{0.0};
 };
 
-/// Per-priority-class slice of the registry: the same counter semantics as
-/// the queue-wide counters, restricted to one class's requests, plus that
-/// class's latency breakdown. This is what makes tenant isolation
-/// observable — a saturating batch tenant shows up in by-class queue delay
-/// long before it moves the global percentiles.
-struct ClassMetrics {
-  std::atomic<long> enqueued{0};
-  std::atomic<long> completed{0};
-  std::atomic<long> rejected{0};
-  std::atomic<long> shed{0};
-  std::atomic<long> shutdown_refused{0};
-  std::atomic<long> deadline_misses{0};
-  LatencyHistogram queue_delay;
-  LatencyHistogram total_latency;
-
-  void MergeFrom(const ClassMetrics& other);
-};
-
-/// Per-tenant slice of the registry: the quota-accounting view. Same
-/// counter semantics as the queue-wide counters restricted to one tenant's
-/// requests, plus `quota_rejected` — refusals caused by the tenant's own
-/// quota (queued/in-flight caps, rate bucket) rather than queue pressure.
-/// Slices are created lazily on first use and live for the registry's
-/// lifetime (pointer-stable).
-struct TenantMetrics {
+/// One slice of the registry — a priority class's or a tenant's: the same
+/// counter semantics as the queue-wide counters, restricted to that slice's
+/// requests, plus its latency breakdown. Class slices make tenant isolation
+/// observable (a saturating batch tenant shows up in by-class queue delay
+/// long before it moves the global percentiles); tenant slices are the
+/// quota-accounting view. `quota_rejected` counts refusals caused by a
+/// tenant's own quota (queued/in-flight caps, rate bucket) rather than
+/// queue pressure, so it stays 0 in class slices and is reported only for
+/// tenants. Tenant slices are created lazily on first use and live for the
+/// registry's lifetime (pointer-stable).
+struct SliceMetrics {
   std::atomic<long> enqueued{0};
   std::atomic<long> completed{0};
   std::atomic<long> rejected{0};
@@ -106,7 +92,7 @@ struct TenantMetrics {
   LatencyHistogram queue_delay;
   LatencyHistogram total_latency;
 
-  void MergeFrom(const TenantMetrics& other);
+  void MergeFrom(const SliceMetrics& other);
 };
 
 /// The serving runtime's metrics registry: throughput counters, queue/flight
@@ -119,7 +105,7 @@ struct TenantMetrics {
 /// quiescent instant enqueued + migrated_in == completed + rejected + shed +
 /// shutdown_refused + migrated_out. (On an unsharded runtime the migration
 /// counters stay 0 and the PR-5 identity holds unchanged.) The same holds
-/// within each ClassMetrics slice, whose members never see migration: a
+/// within each class slice, whose members never see migration: a
 /// migrated request's class/tenant slices are counted where it was admitted
 /// and where it completes, so per-class and per-tenant totals remain
 /// cluster-wide truths even though the per-shard split shifts.
@@ -168,36 +154,18 @@ class Metrics {
   std::atomic<long> forward_rows_max{0};
   /// High-water mark of a worker's per-tick arena scratch footprint.
   std::atomic<long> arena_high_water_bytes{0};
-  /// Cluster-coalesced forward rounds (serve::ForwardCoalescer): each
-  /// non-empty round is recorded exactly once, by its leader, into the
-  /// leader's registry — so a sum across shards is the cluster total.
-  /// `coalesced_gathered_rows` counts stale rows pooled from every
-  /// participant (duplicates included); `coalesced_rows` counts the unique
-  /// rows actually forwarded after cross-participant dedup; the gap between
-  /// the two is the work coalescing eliminated. `coalesced_rows_max` is the
-  /// largest single coalesced batch — a high-water gauge, max-merged.
-  std::atomic<long> coalesced_rounds{0};
-  std::atomic<long> coalesced_gathered_rows{0};
-  std::atomic<long> coalesced_rows{0};
-  std::atomic<long> coalesced_rows_max{0};
-
   /// Folds one traced tick into the phase section (CAS-max on the gauges).
   void RecordTick(double tick_s, std::size_t arena_used_bytes);
   /// Folds one traced forward pass (rows > 0) into the phase section.
   void RecordForward(double forward_s, int rows);
-  /// Folds one coalesced forward round (gathered > 0) into the phase
-  /// section. Unlike RecordTick/RecordForward this is recorded whether or
-  /// not a tracer is attached — round accounting is how the coalescer's
-  /// amortization is audited, not a tracing nicety.
-  void RecordCoalescedRound(int gathered_rows, int unique_rows);
 
   // --- per-class slices, indexed by PriorityClass ---
-  std::array<ClassMetrics, kNumPriorityClasses> by_class;
+  std::array<SliceMetrics, kNumPriorityClasses> by_class;
 
-  ClassMetrics& for_class(PriorityClass cls) {
+  SliceMetrics& for_class(PriorityClass cls) {
     return by_class[static_cast<size_t>(cls)];
   }
-  const ClassMetrics& for_class(PriorityClass cls) const {
+  const SliceMetrics& for_class(PriorityClass cls) const {
     return by_class[static_cast<size_t>(cls)];
   }
 
@@ -207,9 +175,9 @@ class Metrics {
   /// on first use behind a short mutex-guarded map lookup; cache the
   /// returned reference on hot paths (it stays valid for the registry's
   /// lifetime).
-  TenantMetrics& for_tenant(int tenant_id);
+  SliceMetrics& for_tenant(int tenant_id);
   /// Read-only lookup; nullptr when a non-zero tenant has no slice yet.
-  const TenantMetrics* find_tenant(int tenant_id) const;
+  const SliceMetrics* find_tenant(int tenant_id) const;
 
   /// Binds the uptime axis to a serve clock: SnapshotJson() (the no-arg
   /// overload) measures uptime as now - attach time on `clock`. The clock
@@ -248,12 +216,12 @@ class Metrics {
   const Clock* clock_ = nullptr;
   double attach_time_s_ = 0.0;
   /// Tenant 0's slice, inline so the default-tenant path never locks.
-  TenantMetrics default_tenant_;
+  SliceMetrics default_tenant_;
   /// Non-zero tenant slices: std::map for pointer stability (for_tenant
   /// hands out long-lived references) and deterministic JSON ordering. The
   /// mutex only guards the map structure; the slices themselves are atomic.
   mutable std::mutex tenants_mu_;
-  std::map<int, TenantMetrics> tenants_;
+  std::map<int, SliceMetrics> tenants_;
 };
 
 }  // namespace ams::serve

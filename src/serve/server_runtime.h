@@ -15,7 +15,6 @@
 #include "core/labeling_service.h"
 #include "serve/admission_queue.h"
 #include "serve/clock.h"
-#include "serve/forward_coalescer.h"
 #include "serve/metrics.h"
 #include "serve/priority_class.h"
 #include "serve/request.h"
@@ -75,20 +74,6 @@ struct ServeOptions {
   /// This runtime's shard index in a sharded deployment (trace lane keying
   /// and cluster-unique trace ids); 0 standalone.
   int shard_id = 0;
-  /// Coalesce the per-tick Q-forwards of this runtime's workers into one
-  /// batched forward per tick round (serve::ForwardCoalescer): opt-in
-  /// because it trades per-worker independence for batch amortization —
-  /// worth it when forwards dominate the tick and workers tick in similar
-  /// rhythm. Results are bitwise identical either way. The AMS_COALESCE
-  /// environment variable ("1"/"on"/"true") turns this on by default so CI
-  /// can run the whole suite both ways. No-op for sessions without a
-  /// predictor.
-  bool coalesce_forwards = false;
-  /// An externally owned coalescer to join instead of a runtime-private
-  /// one — how route::ShardRouter coalesces forwards across ALL its shards
-  /// (one device batch per cluster tick). Implies coalesce_forwards; must
-  /// outlive the runtime.
-  ForwardCoalescer* coalescer = nullptr;
 };
 
 /// The asynchronous serving runtime over a labeling session: admission in
@@ -206,7 +191,7 @@ class ServerRuntime {
     int tenant_id = 0;
     /// The tenant's metrics slice, resolved once at admission (pointer
     /// stays valid for the registry's lifetime).
-    TenantMetrics* tenant_metrics = nullptr;
+    SliceMetrics* tenant_metrics = nullptr;
     double deadline_s = std::numeric_limits<double>::infinity();
     double enqueue_time_s = 0.0;
     double admit_time_s = 0.0;
@@ -246,11 +231,6 @@ class ServerRuntime {
   /// caches its own lane in WorkerLoop. Both null when tracing is off.
   obs::Tracer* tracer_ = nullptr;
   obs::TraceBuffer* admission_lane_ = nullptr;
-  /// Forward coalescing (options.coalesce_forwards / options.coalescer):
-  /// the runtime-private coalescer when no external one was supplied, and
-  /// the pointer the workers join (null = coalescing off).
-  std::unique_ptr<ForwardCoalescer> owned_coalescer_;
-  ForwardCoalescer* coalescer_ = nullptr;
   std::vector<std::thread> workers_;
 
   std::atomic<uint64_t> sequence_{0};

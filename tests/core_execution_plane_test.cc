@@ -1,15 +1,15 @@
 // Tests of the execution-plane seams: batched vs scalar Q-prediction
-// (bitwise parity on rl::Agent and identical service outcomes), lean vs
-// full kernel mode (identical value/makespan/recall), the memoized replay
-// context (determinism under parallel workers), and the builder validation
-// of the new knobs.
+// (bitwise parity on rl::Agent, on DecisionPlane refreshes with and without
+// a caller arena, and identical service outcomes), lean vs full kernel mode
+// (identical value/makespan/recall), and the builder validation of the
+// knobs.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <thread>
+#include <set>
 #include <vector>
 
 #include "core/decision_plane.h"
@@ -56,14 +56,12 @@ class CountingPredictor : public ModelValuePredictor {
     ++*scalar_calls_;
     return q_;
   }
-  void PredictValuesBatchInto(
-      const std::vector<const std::vector<float>*>& states,
-      const std::vector<const std::vector<int>*>&,
-      std::vector<double>* out) override {
+  void PredictValuesBatchTo(const std::vector<float>* const*,
+                            const std::vector<int>* const*, size_t count,
+                            double* out) override {
     ++*batch_calls_;
-    out->clear();
-    for (size_t i = 0; i < states.size(); ++i) {
-      out->insert(out->end(), q_.begin(), q_.end());
+    for (size_t i = 0; i < count; ++i) {
+      std::copy(q_.begin(), q_.end(), out + i * q_.size());
     }
   }
   int num_actions() const override { return static_cast<int>(q_.size()); }
@@ -204,6 +202,99 @@ TEST_F(ExecutionPlaneTest, BatchedSessionsCoalesceAllPredictions) {
   EXPECT_GT(batch_calls.load(), 0);
 }
 
+TEST_F(ExecutionPlaneTest, PlaneRefreshMatchesWithAndWithoutArenaAndScalar) {
+  // Three ways to refresh the same item states: Prefetch through a caller
+  // arena, Prefetch through the plane's own arena, and scalar Slot::Values.
+  // Rows must be bitwise identical, and the two Prefetch planes must count
+  // the same forward rows and memo hits round for round.
+  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 47);
+  const int num_labels = zoo_->labels().total_labels();
+  const int num_models = zoo_->num_models();
+  // Items 2k and 2k+1 replay the same source, so each pair shares a state
+  // and a batched refresh dedups it into one row.
+  constexpr int kItems = 8;
+  std::vector<LabelingState> states;
+  for (int item = 0; item < kItems; ++item) {
+    const int source = item / 2;
+    LabelingState state(num_labels, num_models);
+    for (int m = 0; m < 3 * source; ++m) {
+      state.Apply(m, oracle_->Output(source, m));
+    }
+    states.push_back(state);
+  }
+  const std::vector<LabelingState> initial = states;
+
+  util::Arena arena;
+  DecisionPlane with_arena(agent.get(), /*memoize_rows=*/true);
+  with_arena.AttachArena(&arena);
+  DecisionPlane own_arena(agent.get(), /*memoize_rows=*/true);
+  DecisionPlane scalar(agent.get());
+  std::vector<DecisionPlane::Slot*> slots_a, slots_b, slots_c;
+  const auto new_slots = [&] {
+    slots_a.clear();
+    slots_b.clear();
+    slots_c.clear();
+    for (int i = 0; i < kItems; ++i) {
+      slots_a.push_back(with_arena.NewSlot());
+      slots_b.push_back(own_arena.NewSlot());
+      slots_c.push_back(scalar.NewSlot());
+    }
+  };
+  const auto refresh_and_compare = [&](const char* round) {
+    std::vector<DecisionPlane::SlotView> views_a, views_b;
+    for (int i = 0; i < kItems; ++i) {
+      views_a.push_back({slots_a[i], &states[i]});
+      views_b.push_back({slots_b[i], &states[i]});
+    }
+    arena.Reset();
+    with_arena.Prefetch(views_a);
+    own_arena.Prefetch(views_b);
+    for (int i = 0; i < kItems; ++i) {
+      const std::vector<double>& expected = slots_c[i]->Values(states[i]);
+      EXPECT_EQ(slots_a[i]->Values(states[i]), expected)
+          << round << " item " << i;
+      EXPECT_EQ(slots_b[i]->Values(states[i]), expected)
+          << round << " item " << i;
+    }
+    // Prefetch refreshed every slot: reading them ran no scalar forward.
+    EXPECT_EQ(with_arena.scalar_predictions(), 0) << round;
+    EXPECT_EQ(own_arena.scalar_predictions(), 0) << round;
+    EXPECT_EQ(with_arena.batched_predictions(),
+              own_arena.batched_predictions())
+        << round;
+    EXPECT_EQ(with_arena.batched_rows(), own_arena.batched_rows()) << round;
+    EXPECT_EQ(with_arena.memo_hits(), own_arena.memo_hits()) << round;
+  };
+
+  // Round 1: cold planes; one forward row per distinct state (at most
+  // kItems / 2 — the pairs always collide).
+  std::set<std::vector<int>> distinct;
+  for (const LabelingState& state : states) distinct.insert(state.SetIndices());
+  ASSERT_LE(distinct.size(), static_cast<size_t>(kItems / 2));
+  new_slots();
+  refresh_and_compare("cold");
+  EXPECT_EQ(with_arena.batched_rows(), static_cast<long>(distinct.size()));
+  EXPECT_EQ(with_arena.memo_hits(), 0);
+
+  // Round 2: odd items advance by one more model (new states); even items
+  // stay fresh and are skipped.
+  for (int i = 1; i < kItems; i += 2) {
+    const int source = i / 2;
+    const int m = 3 * source;
+    states[i].Apply(m, oracle_->Output(source, m));
+  }
+  refresh_and_compare("advanced");
+
+  // Round 3: fresh slots over the round-1 states — every row is a memo hit.
+  states = initial;
+  const long rows_before = with_arena.batched_rows();
+  const long hits_before = with_arena.memo_hits();
+  new_slots();
+  refresh_and_compare("memo");
+  EXPECT_EQ(with_arena.batched_rows(), rows_before);
+  EXPECT_EQ(with_arena.memo_hits() - hits_before, kItems);
+}
+
 // --- lean kernel mode ------------------------------------------------------
 
 TEST_F(ExecutionPlaneTest, LeanKernelMatchesFullForPredictorSessions) {
@@ -317,71 +408,6 @@ TEST_F(ExecutionPlaneTest, MemorySweepLeanPathMatchesFullRecall) {
   }
 }
 
-// --- replay cache ----------------------------------------------------------
-
-TEST_F(ExecutionPlaneTest, CachedReplayServesOracleDataByReference) {
-  CachedReplayExecutionContext cached(oracle_, /*item=*/3);
-  ReplayExecutionContext plain(oracle_, /*item=*/3);
-  for (int m = 0; m < zoo_->num_models(); ++m) {
-    EXPECT_EQ(cached.RealizedTime(m), plain.RealizedTime(m));
-    EXPECT_EQ(cached.PlannedTime(m), plain.PlannedTime(m));
-    // Same address as the oracle's storage: no intermediate copy.
-    EXPECT_EQ(&cached.Execute(m), &oracle_->Output(3, m));
-  }
-}
-
-TEST_F(ExecutionPlaneTest, CachedReplayIsDeterministicUnderConcurrentUse) {
-  CachedReplayExecutionContext cached(oracle_, /*item=*/5);
-  const int num_models = zoo_->num_models();
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 50; ++round) {
-        for (int m = 0; m < num_models; ++m) {
-          const int model = (m + t) % num_models;
-          if (cached.RealizedTime(model) !=
-                  oracle_->ExecutionTime(5, model) ||
-              &cached.Execute(model) != &oracle_->Output(5, model)) {
-            ++mismatches;
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST_F(ExecutionPlaneTest, ReplayCacheKeepsParallelBatchesDeterministic) {
-  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 23);
-  const std::vector<WorkItem> items = StoredItems(40);
-  auto build = [&](bool cache) {
-    return LabelingServiceBuilder(zoo_)
-        .WithOracle(oracle_)
-        .WithPredictor(agent.get())
-        .WithMode(ExecutionMode::kParallel)
-        .WithConstraints(ParallelConstraints())
-        .WithBatchedPrediction(true)
-        .WithKernelMode(KernelMode::kLean)
-        .WithReplayCache(cache)
-        .WithWorkers(4)
-        .Build();
-  };
-  LabelingService uncached = build(false);
-  LabelingService cached = build(true);
-  const std::vector<LabelOutcome> baseline = uncached.SubmitBatch(items);
-  // Two rounds through the cached session: the second is served entirely
-  // from memoized contexts and must not drift.
-  for (int round = 0; round < 2; ++round) {
-    const std::vector<LabelOutcome> outcomes = cached.SubmitBatch(items);
-    ASSERT_EQ(outcomes.size(), baseline.size());
-    for (size_t i = 0; i < baseline.size(); ++i) {
-      ExpectSameOutcome(baseline[i], outcomes[i]);
-    }
-  }
-}
-
 TEST_F(ExecutionPlaneTest, PooledWorkerClonesTrackLiveWeights) {
   // The session pools per-worker clones across batches; mutating the source
   // predictor between batches (training step, checkpoint reload) must still
@@ -420,16 +446,6 @@ TEST_F(ExecutionPlaneTest, BuilderRejectsBatchedPredictionWithoutPredictor) {
                    .WithBatchedPrediction(true)
                    .Build(),
                "batched prediction");
-}
-
-TEST_F(ExecutionPlaneTest, BuilderRejectsReplayCacheWithoutOracle) {
-  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 29);
-  EXPECT_DEATH(LabelingServiceBuilder(zoo_)
-                   .WithPredictor(agent.get())
-                   .WithMode(ExecutionMode::kGreedy)
-                   .WithReplayCache(true)
-                   .Build(),
-               "replay caching");
 }
 
 }  // namespace

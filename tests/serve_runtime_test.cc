@@ -711,7 +711,7 @@ TEST_F(ServerRuntimeTest, RejectOverloadResolvesEveryFutureOneWayOrAnother) {
   EXPECT_EQ(runtime.metrics().rejected.load(), refused);
   // The default class rode every request: per-class slices mirror the
   // queue-wide counters.
-  const ClassMetrics& standard =
+  const SliceMetrics& standard =
       runtime.metrics().for_class(PriorityClass::kStandard);
   EXPECT_EQ(standard.completed.load(), ok);
   EXPECT_EQ(standard.rejected.load(), refused);
@@ -1039,13 +1039,13 @@ TEST_F(ServerRuntimeTest, TenantQuotaRejectionsResolveAndCountPerTenant) {
 
   const Metrics& metrics = runtime.metrics();
   EXPECT_EQ(metrics.quota_rejected.load(), 8);
-  const TenantMetrics* slice1 = metrics.find_tenant(1);
+  const SliceMetrics* slice1 = metrics.find_tenant(1);
   ASSERT_NE(slice1, nullptr);
   EXPECT_EQ(slice1->enqueued.load(), 10);
   EXPECT_EQ(slice1->completed.load(), 2);
   EXPECT_EQ(slice1->rejected.load(), 8);
   EXPECT_EQ(slice1->quota_rejected.load(), 8);
-  const TenantMetrics* slice2 = metrics.find_tenant(2);
+  const SliceMetrics* slice2 = metrics.find_tenant(2);
   ASSERT_NE(slice2, nullptr);
   EXPECT_EQ(slice2->completed.load(), 10);
   EXPECT_EQ(slice2->quota_rejected.load(), 0);

@@ -6,8 +6,18 @@ Usage:
     bench_compare.py BASELINE CANDIDATE [BASELINE CANDIDATE ...]
 
 Each file is a bench JSON with a "configs" array of
-{"name": ..., "items_per_s": ...} entries (bench_service_throughput and
-bench_serve_runtime both emit this shape).
+{"name": ..., "items_per_s": ...} entries and a "workload" header
+(bench_service_throughput, bench_serve_runtime and bench_qforward all emit
+this shape).
+
+Hardware check
+--------------
+Every "workload" header records the machine it ran on: "hardware_concurrency"
+(cores) and "simd_tier" (the nn kernel tier in use). Ratios taken on one
+core have failed to reproduce on four, so a pair whose baseline and
+candidate differ in either value — or lack either — fails outright, naming
+both values, before any scenario is compared. Regenerate the baseline on the
+runner class that produces the candidate.
 
 What is compared
 ----------------
@@ -43,9 +53,16 @@ import os
 import sys
 
 
-def load_configs(path):
+HARDWARE_FIELDS = ("hardware_concurrency", "simd_tier")
+
+
+def load_bench(path):
+    """Returns (hardware, configs): the workload's machine fields (None when
+    absent) and the ordered (name, items_per_s) scenarios."""
     with open(path) as f:
         data = json.load(f)
+    workload = data.get("workload", {})
+    hardware = {field: workload.get(field) for field in HARDWARE_FIELDS}
     configs = data.get("configs", [])
     if not configs:
         raise SystemExit(f"{path}: no 'configs' array")
@@ -58,13 +75,36 @@ def load_configs(path):
         if items_per_s <= 0:
             raise SystemExit(f"{path}: non-positive items_per_s for {name}")
         ordered.append((name, float(items_per_s)))
-    return ordered
+    return hardware, ordered
+
+
+def hardware_mismatches(baseline_path, baseline_hw, candidate_path,
+                        candidate_hw):
+    """Returns (rows, failures): one table row and one failure message per
+    machine field the two files disagree on (a field missing from either
+    file counts as a disagreement)."""
+    rows = []
+    failures = []
+    for field in HARDWARE_FIELDS:
+        base, cand = baseline_hw[field], candidate_hw[field]
+        if base is None or cand is None or base != cand:
+            rows.append((field, repr(base), repr(cand), "", "FAIL"))
+            failures.append(
+                f"hardware mismatch: {field} is {base!r} in the baseline "
+                f"{baseline_path} but {cand!r} in the candidate "
+                f"{candidate_path} — regenerate the baseline on the "
+                f"candidate's runner class")
+    return rows, failures
 
 
 def compare_pair(baseline_path, candidate_path, threshold_pct, absolute):
     """Returns (rows, failures, notes): one table row per scenario."""
-    baseline = load_configs(baseline_path)
-    candidate = load_configs(candidate_path)
+    baseline_hw, baseline = load_bench(baseline_path)
+    candidate_hw, candidate = load_bench(candidate_path)
+    rows, failures = hardware_mismatches(baseline_path, baseline_hw,
+                                         candidate_path, candidate_hw)
+    if failures:
+        return rows, failures, []
     if baseline[0][0] != candidate[0][0]:
         # Normalization divides by each file's first config; comparing
         # against different references would skew every row silently.
@@ -77,8 +117,6 @@ def compare_pair(baseline_path, candidate_path, threshold_pct, absolute):
     base_ref = baseline[0][1]
     cand_ref = candidate[0][1]
 
-    rows = []
-    failures = []
     notes = []
     for name, base_raw in baseline:
         if name not in cand_by_name:
