@@ -6,8 +6,19 @@
 
 namespace ams::core {
 
-DecisionPlane::DecisionPlane(ModelValuePredictor* predictor, bool memoize_rows)
-    : predictor_(predictor), memoize_rows_(memoize_rows) {
+namespace {
+
+// Rewrites `count` freshly computed Q entries into `form` in place.
+void ToForm(RowForm form, double* values, size_t count) {
+  if (form != RowForm::kProfit) return;
+  for (size_t i = 0; i < count; ++i) values[i] = SchedulingProfit(values[i]);
+}
+
+}  // namespace
+
+DecisionPlane::DecisionPlane(ModelValuePredictor* predictor, bool memoize_rows,
+                             RowForm form)
+    : predictor_(predictor), memoize_rows_(memoize_rows), form_(form) {
   AMS_CHECK(predictor != nullptr);
 }
 
@@ -15,8 +26,7 @@ bool DecisionPlane::ServeFromMemo(Slot* slot, const LabelingState& state) {
   if (!memoize_rows_) return false;
   const auto it = row_memo_.find(state.SetIndices());
   if (it == row_memo_.end()) return false;
-  slot->q_ = it->second;
-  slot->labels_at_ = state.num_labels_set();
+  slot->Assign(it->second.data(), it->second.size(), state.num_labels_set());
   ++memo_hits_;
   return true;
 }
@@ -31,12 +41,25 @@ void DecisionPlane::MemoizeRow(const std::vector<int>& indices,
 const std::vector<double>& DecisionPlane::Slot::Values(
     const LabelingState& state) {
   if (!Fresh(state) && !plane_->ServeFromMemo(this, state)) {
-    q_ = plane_->predictor_->PredictValues(state.Features());
-    labels_at_ = state.num_labels_set();
+    std::vector<double> q = plane_->predictor_->PredictValues(state.Features());
+    ToForm(plane_->form_, q.data(), q.size());
+    Assign(q.data(), q.size(), state.num_labels_set());
     ++plane_->scalar_predictions_;
-    plane_->MemoizeRow(state.SetIndices(), q_.data(), q_.size());
+    plane_->MemoizeRow(state.SetIndices(), row_.data(), row_.size());
   }
-  return q_;
+  return row_;
+}
+
+const std::vector<double>& DecisionPlane::Slot::Profits(
+    const LabelingState& state) {
+  const std::vector<double>& row = Values(state);
+  if (plane_->form_ == RowForm::kProfit) return row;
+  if (!profits_fresh_) {
+    profits_ = row;
+    ToForm(RowForm::kProfit, profits_.data(), profits_.size());
+    profits_fresh_ = true;
+  }
+  return profits_;
 }
 
 DecisionPlane::Slot* DecisionPlane::NewSlot() {
@@ -112,15 +135,16 @@ void DecisionPlane::Prefetch(const std::vector<SlotView>& views) {
   const size_t stride = static_cast<size_t>(predictor_->num_actions());
   double* flat_q = arena_->AllocArray<double>(n_rows * stride);
   predictor_->PredictValuesBatchTo(features, indices, n_rows, flat_q);
+  // One transform per deduplicated row, ahead of the memo and the scatter.
+  ToForm(form_, flat_q, n_rows * stride);
   ++batched_predictions_;
   batched_rows_ += static_cast<long>(n_rows);
   for (size_t u = 0; u < n_rows; ++u) {
     MemoizeRow(*indices[u], flat_q + u * stride, stride);
   }
   for (size_t i = 0; i < n_stale; ++i) {
-    const double* row = flat_q + row_of[i] * stride;
-    stale_slots[i]->q_.assign(row, row + stride);
-    stale_slots[i]->labels_at_ = stale_states[i]->num_labels_set();
+    stale_slots[i]->Assign(flat_q + row_of[i] * stride, stride,
+                           stale_states[i]->num_labels_set());
   }
 }
 

@@ -13,6 +13,18 @@
 
 namespace ams::core {
 
+/// What a DecisionPlane's rows hold, fixed when the plane is built.
+enum class RowForm {
+  /// Raw predicted Q values, one per action. The default; greedy picking
+  /// reads these.
+  kQ,
+  /// SchedulingProfit(Q) of every entry: the numerators of Algorithms 1
+  /// and 2's cost ratios. The transform runs once per computed row, before
+  /// the row is memoized or handed to slots, so a pick round reads finished
+  /// profits and a memo hit costs no libm call.
+  kProfit,
+};
+
 /// The decision plane of the scheduling substrate: every picker Q-query goes
 /// through a DecisionPlane slot instead of hitting the predictor directly.
 ///
@@ -26,6 +38,12 @@ namespace ams::core {
 /// back to the scalar path, so Prefetch is an optimization, never a
 /// correctness requirement.
 ///
+/// Every row a plane computes — scalar, batched or memoized — is stored in
+/// the plane's RowForm. Slot::Values returns the stored row; Slot::Profits
+/// returns profits on either form (the stored row on a kProfit plane, a
+/// per-slot copy transformed once per refresh on a kQ plane), so the
+/// deadline pickers run on any plane and a kProfit plane just skips work.
+///
 /// Not thread-safe: one plane per worker, like the predictor it wraps.
 class DecisionPlane {
  public:
@@ -34,9 +52,11 @@ class DecisionPlane {
   /// queries for the same state skip the forward pass entirely. Worth it
   /// only for long-lived planes (the serve runtime's steppers, where steady
   /// state becomes mostly memo hits); per-call planes (SubmitBatch blocks)
-  /// pay the insert cost without living long enough to profit.
+  /// pay the insert cost without living long enough to profit. `form`
+  /// fixes what every row holds (see RowForm).
   explicit DecisionPlane(ModelValuePredictor* predictor,
-                         bool memoize_rows = false);
+                         bool memoize_rows = false,
+                         RowForm form = RowForm::kQ);
   // Slots and the default arena pointer refer back into the plane.
   DecisionPlane(const DecisionPlane&) = delete;
   DecisionPlane& operator=(const DecisionPlane&) = delete;
@@ -44,9 +64,17 @@ class DecisionPlane {
   /// One item's cached view of the predictor.
   class Slot {
    public:
-    /// Q values for `state`; served from cache when fresh, recomputed with a
+    /// The row for `state` in the plane's form (Q values, or profits on a
+    /// kProfit plane); served from cache when fresh, recomputed with a
     /// scalar forward pass otherwise.
     const std::vector<double>& Values(const LabelingState& state);
+
+    /// SchedulingProfit of every entry of the Q row for `state`, bitwise
+    /// equal on both plane forms. A kProfit plane returns the stored row; a
+    /// kQ plane transforms a per-slot copy at most once per refresh.
+    const std::vector<double>& Profits(const LabelingState& state);
+
+    RowForm form() const { return plane_->form_; }
 
     /// True when the cache already matches `state` (no forward pass
     /// needed). Keyed on the number of set labels, not executions: the
@@ -61,9 +89,20 @@ class DecisionPlane {
     friend class DecisionPlane;
     explicit Slot(DecisionPlane* plane) : plane_(plane) {}
 
+    /// Stores a refreshed row. Every refresh path ends here, so the Profits
+    /// copy can never outlive the row it was computed from.
+    void Assign(const double* row, size_t size, int labels_at) {
+      row_.assign(row, row + size);
+      labels_at_ = labels_at;
+      profits_fresh_ = false;
+    }
+
     DecisionPlane* plane_;
-    std::vector<double> q_;
+    std::vector<double> row_;  // in the plane's RowForm
     int labels_at_ = -1;  // num_labels_set() the cache was computed at
+    /// kQ planes only: SchedulingProfit of row_, valid while profits_fresh_.
+    std::vector<double> profits_;
+    bool profits_fresh_ = false;
   };
 
   /// A (slot, state) pair eligible for batched refresh.
@@ -143,6 +182,7 @@ class DecisionPlane {
   std::unordered_map<std::vector<int>, std::vector<double>, IndexListHash>
       row_memo_;
   bool memoize_rows_ = false;
+  RowForm form_ = RowForm::kQ;
   /// Prefetch scratch when no caller arena is attached (small: it grows to
   /// the largest round's footprint and then stays put).
   util::Arena own_arena_{1 << 12};

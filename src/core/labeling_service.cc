@@ -46,6 +46,12 @@ class PolicyWithPredictor : public sched::SchedulingPolicy {
   std::unique_ptr<sched::SchedulingPolicy> inner_;
 };
 
+// Row form of a predictor session's DecisionPlanes: the deadline pickers
+// (kSerial, kParallel) read profits, greedy reads raw Q values.
+RowForm PlaneRowForm(ExecutionMode mode) {
+  return mode == ExecutionMode::kGreedy ? RowForm::kQ : RowForm::kProfit;
+}
+
 }  // namespace
 
 /// Per-worker predictor clones, created on first use and reused for the
@@ -306,8 +312,11 @@ void LabelingService::RunCoScheduled(
   constexpr size_t kWaveSize = 16;
 
   // The plane's own arena holds its batch scratch, rewound every event
-  // round, so rounds re-use one warm block.
-  DecisionPlane plane(state->predictor);
+  // round, so rounds re-use one warm block. Finished and skipped items hand
+  // their slot back, so the plane holds one wave of slots however large the
+  // batch.
+  DecisionPlane plane(state->predictor, /*memoize_rows=*/false,
+                      PlaneRowForm(config_.mode));
   std::vector<DecisionPlane::SlotView> views;
   for (size_t wave_begin = 0; wave_begin < n; wave_begin += kWaveSize) {
     const size_t wave = std::min(kWaveSize, n - wave_begin);
@@ -320,6 +329,7 @@ void LabelingService::RunCoScheduled(
       runs[i] = PrepareItem(*items[k], state, stream_ids[k], slots[i]);
       if (runs[i]->skipped) {
         *outcomes[k] = std::move(runs[i]->outcome);
+        plane.ReleaseSlot(slots[i]);
         continue;
       }
       kernels[i] = std::make_unique<ScheduleKernel>(
@@ -351,6 +361,7 @@ void LabelingService::RunCoScheduled(
           }
           *outcomes[wave_begin + i] = std::move(runs[i]->outcome);
           kernels[i].reset();
+          plane.ReleaseSlot(slots[i]);
         }
       }
     }
@@ -366,8 +377,9 @@ LabelingService::ItemStepper::ItemStepper(const LabelingService* session,
     // Steppers live for the serving runtime's lifetime over a frozen
     // predictor clone, the regime the plane's row memo exists for: at
     // steady state most decision points are served without a forward pass.
-    plane_ = std::make_unique<DecisionPlane>(state_.predictor,
-                                             /*memoize_rows=*/true);
+    plane_ = std::make_unique<DecisionPlane>(
+        state_.predictor, /*memoize_rows=*/true,
+        PlaneRowForm(session_->config_.mode));
     plane_->AttachArena(&arena_);
   }
 }

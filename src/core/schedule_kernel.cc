@@ -62,6 +62,8 @@ ScheduleKernel::ScheduleKernel(const ExecutionContext* exec,
                                ModelPicker picker, KernelHooks hooks,
                                KernelMode mode)
     : exec_(exec),
+      models_(exec->zoo().models().data()),
+      num_models_(exec->num_models()),
       constraints_(constraints),
       picker_(std::move(picker)),
       hooks_(std::move(hooks)),
@@ -75,26 +77,37 @@ ScheduleKernel::ScheduleKernel(const ExecutionContext* exec,
   AMS_CHECK(picker_ != nullptr);
   // Worst-case capacities up front so steady-state Steps never allocate.
   touched_labels_.reserve(best_conf_.size());
-  running_.reserve(static_cast<size_t>(exec->num_models()));
+  running_.reserve(static_cast<size_t>(num_models_));
   scratch_record_.fresh.reserve(best_conf_.size());
+  unstarted_.resize(static_cast<size_t>(num_models_));
+  planned_time_.resize(static_cast<size_t>(num_models_));
+  for (int m = 0; m < num_models_; ++m) {
+    unstarted_[static_cast<size_t>(m)] = m;
+    planned_time_[static_cast<size_t>(m)] = exec->PlannedTime(m);
+  }
 }
 
 void ScheduleKernel::StartModels() {
+  PickContext pick;
+  pick.exec = exec_;
+  pick.state = &state_;
+  pick.started = &started_;
+  pick.unstarted = &unstarted_;
+  pick.planned_time = planned_time_.data();
+  pick.models = models_;
+  pick.now = now_;
+  pick.deadline = constraints_.time_budget_s;
   while (!stopped_) {
-    PickContext pick;
-    pick.exec = exec_;
-    pick.state = &state_;
-    pick.started = &started_;
-    pick.now = now_;
-    pick.deadline = constraints_.time_budget_s;
     pick.mem_free = mem_free_;
     pick.idle = running_.empty();
     const int m = picker_(pick);
     if (m < 0) break;
-    AMS_CHECK(m < exec_->num_models() && !started_[static_cast<size_t>(m)],
+    AMS_CHECK(m < num_models_ && !started_[static_cast<size_t>(m)],
               "picker returned an already-started model");
     started_[static_cast<size_t>(m)] = true;
-    const double mem = exec_->model(m).mem_mb;
+    unstarted_.erase(
+        std::lower_bound(unstarted_.begin(), unstarted_.end(), m));
+    const double mem = models_[m].mem_mb;
     running_.push_back({m, now_, now_ + exec_->RealizedTime(m), mem});
     mem_free_ -= mem;
     mem_used_ += mem;
@@ -149,7 +162,7 @@ bool ScheduleKernel::Step() {
     full.finish_s = done_run.finish_s;
     full.outputs = outputs;
     full.fresh = state_.Apply(done_run.model_id, outputs);
-    full.reward = ModelReward(full.fresh, exec_->model(done_run.model_id).theta);
+    full.reward = ModelReward(full.fresh, models_[done_run.model_id].theta);
     result_.executions.push_back(std::move(full));
     record = &result_.executions.back();
   } else {
@@ -203,8 +216,9 @@ namespace {
 // legacy call site gets a private single-slot DecisionPlane, so its cost
 // profile stays one forward pass per event round, exactly as before.
 struct PrivateSlot {
-  explicit PrivateSlot(ModelValuePredictor* predictor)
-      : plane(predictor), slot(plane.NewSlot()) {}
+  PrivateSlot(ModelValuePredictor* predictor, RowForm form)
+      : plane(predictor, /*memoize_rows=*/false, form),
+        slot(plane.NewSlot()) {}
   DecisionPlane plane;
   DecisionPlane::Slot* slot;
 };
@@ -212,33 +226,32 @@ struct PrivateSlot {
 int GreedyPick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
   const std::vector<double>& q = slot->Values(*pick.state);
-  const int end_action = pick.exec->num_models();
+  const double end_q = q[static_cast<size_t>(pick.exec->num_models())];
   int best = -1;
-  double best_q = q[static_cast<size_t>(end_action)];
-  for (int m = 0; m < pick.exec->num_models(); ++m) {
-    if ((*pick.started)[static_cast<size_t>(m)]) continue;
+  double best_q = 0.0;
+  for (const int m : *pick.unstarted) {
     if (best == -1 || q[static_cast<size_t>(m)] > best_q) {
       best = m;
       best_q = q[static_cast<size_t>(m)];
     }
   }
   // Stop when END outranks every remaining model.
-  if (best == -1 || q[static_cast<size_t>(end_action)] >= best_q) return -1;
+  if (best == -1 || end_q >= best_q) return -1;
   return best;
 }
 
 int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
-  const std::vector<double>& q = slot->Values(*pick.state);
+  const double* profit = slot->Profits(*pick.state).data();
+  const double remaining = pick.remaining_time();
   // Algorithm 1 lines 3-4: among models that still fit the budget, pick
   // the one maximizing Q / time.
   int best = -1;
   double best_ratio = 0.0;
-  for (int m = 0; m < pick.exec->num_models(); ++m) {
-    if ((*pick.started)[static_cast<size_t>(m)]) continue;
-    const double planned = pick.exec->PlannedTime(m);
-    if (planned > pick.remaining_time()) continue;
-    const double ratio = SchedulingProfit(q[static_cast<size_t>(m)]) / planned;
+  for (const int m : *pick.unstarted) {
+    const double planned = pick.planned_time[m];
+    if (planned > remaining) continue;
+    const double ratio = profit[m] / planned;
     if (best == -1 || ratio > best_ratio) {
       best = m;
       best_ratio = ratio;
@@ -248,22 +261,20 @@ int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
 }
 
 int DeadlineMemoryPick(DecisionPlane::Slot* slot, const PickContext& pick) {
-  const std::vector<double>& q = slot->Values(*pick.state);
+  const double* profit = slot->Profits(*pick.state).data();
   int best = -1;
   double best_score = 0.0;
-  for (int m = 0; m < pick.exec->num_models(); ++m) {
-    if ((*pick.started)[static_cast<size_t>(m)]) continue;
-    const auto& spec = pick.exec->model(m);
+  for (const int m : *pick.unstarted) {
+    const zoo::ModelSpec& spec = pick.models[m];
     if (spec.mem_mb > pick.mem_free) continue;
-    if (pick.now + pick.exec->PlannedTime(m) > pick.deadline) continue;
+    if (pick.now + pick.planned_time[m] > pick.deadline) continue;
     // Algorithm 2 line 4 (idle: anchor by Q / (time * mem)) or lines 7-12
     // (fill remaining memory by Q / mem). Fills are bounded by the global
     // deadline rather than the literal anchor window: taken literally the
     // filter degenerates to near-serial execution whenever the
     // value-density anchor is a short model.
-    const double profit = SchedulingProfit(q[static_cast<size_t>(m)]);
-    const double score = pick.idle ? profit / (spec.time_s * spec.mem_mb)
-                                   : profit / spec.mem_mb;
+    const double score = pick.idle ? profit[m] / (spec.time_s * spec.mem_mb)
+                                   : profit[m] / spec.mem_mb;
     if (best == -1 || score > best_score) {
       best = m;
       best_score = score;
@@ -276,7 +287,7 @@ int DeadlineMemoryPick(DecisionPlane::Slot* slot, const PickContext& pick) {
 
 ModelPicker MakeGreedyPicker(ModelValuePredictor* predictor) {
   AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor);
+  auto owned = std::make_shared<PrivateSlot>(predictor, RowForm::kQ);
   return [owned](const PickContext& pick) {
     return GreedyPick(owned->slot, pick);
   };
@@ -284,12 +295,15 @@ ModelPicker MakeGreedyPicker(ModelValuePredictor* predictor) {
 
 ModelPicker MakeGreedyPicker(DecisionPlane::Slot* slot) {
   AMS_CHECK(slot != nullptr);
+  AMS_CHECK(slot->form() == RowForm::kQ,
+            "greedy picking compares raw Q values: its slot must be on a "
+            "RowForm::kQ plane");
   return [slot](const PickContext& pick) { return GreedyPick(slot, pick); };
 }
 
 ModelPicker MakeDeadlinePicker(ModelValuePredictor* predictor) {
   AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor);
+  auto owned = std::make_shared<PrivateSlot>(predictor, RowForm::kProfit);
   return [owned](const PickContext& pick) {
     return DeadlinePick(owned->slot, pick);
   };
@@ -302,7 +316,7 @@ ModelPicker MakeDeadlinePicker(DecisionPlane::Slot* slot) {
 
 ModelPicker MakeDeadlineMemoryPicker(ModelValuePredictor* predictor) {
   AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor);
+  auto owned = std::make_shared<PrivateSlot>(predictor, RowForm::kProfit);
   return [owned](const PickContext& pick) {
     return DeadlineMemoryPick(owned->slot, pick);
   };
@@ -335,8 +349,8 @@ ModelPicker MakeRandomPackingPicker(uint64_t seed) {
     }
     for (int m : pack->order) {
       if ((*pick.started)[static_cast<size_t>(m)]) continue;
-      if (pick.exec->model(m).mem_mb > pick.mem_free) continue;
-      if (pick.now + pick.exec->PlannedTime(m) > pick.deadline) continue;
+      if (pick.models[m].mem_mb > pick.mem_free) continue;
+      if (pick.now + pick.planned_time[m] > pick.deadline) continue;
       return m;
     }
     return -1;

@@ -126,12 +126,27 @@ class ReplayExecutionContext : public ExecutionContext {
 };
 
 /// A scheduling decision point: everything a picker may inspect.
+///
+/// The per-model tables are owned by the kernel and filled once per item, so
+/// a pick round scans plain arrays: no virtual PlannedTime call, no
+/// range-checked spec lookup. The pickers built below loop over `unstarted`
+/// alone; `started` serves pickers that need random access by model id
+/// (sched::PolicyAdapter, random packing).
 struct PickContext {
   const ExecutionContext* exec = nullptr;
   const LabelingState* state = nullptr;
   /// Models already started (a superset of state->model_executed(): models
   /// in flight count as started but not yet executed).
   const std::vector<bool>* started = nullptr;
+  /// Ids of the models not yet started, in ascending order: iterating it
+  /// visits candidates in the same order as a 0..num_models scan that skips
+  /// `started`, so a strict-greater argmax still breaks ties toward the
+  /// lowest id.
+  const std::vector<int>* unstarted = nullptr;
+  /// exec->PlannedTime(m) for every model m, taken at kernel construction.
+  const double* planned_time = nullptr;
+  /// exec->zoo().models().data(): specs indexed by model id.
+  const zoo::ModelSpec* models = nullptr;
   double now = 0.0;
   /// Absolute deadline (infinity when unconstrained).
   double deadline = std::numeric_limits<double>::infinity();
@@ -180,6 +195,12 @@ enum class KernelMode {
 /// released at finish; executions past the deadline are never started but
 /// started work always drains.
 ///
+/// Pick rounds are table-driven: the constructor reads every model's
+/// PlannedTime once, and the kernel keeps the unstarted model ids in
+/// ascending order, erasing an id when its model starts. Pickers that scan
+/// PickContext::unstarted therefore see exactly the candidates, and the
+/// order, of a full 0..num_models scan that skips started models.
+///
 /// Single-shot callers use the RunScheduleKernel wrapper below; co-scheduling
 /// drivers (LabelingService workers batching Q-predictions across items)
 /// interleave Step() calls of many kernels and refresh a shared
@@ -207,6 +228,8 @@ class ScheduleKernel {
   void StartModels();
 
   const ExecutionContext* exec_;
+  const zoo::ModelSpec* models_;  // exec_->zoo().models().data()
+  int num_models_;
   ScheduleConstraints constraints_;
   ModelPicker picker_;
   KernelHooks hooks_;
@@ -223,6 +246,11 @@ class ScheduleKernel {
   ScheduleResult result_;
   std::vector<Running> running_;
   std::vector<bool> started_;
+  // Pick tables (see PickContext): unstarted ids kept ascending (a started
+  // id is erased in place, so the order never changes) and the per-item
+  // planned times, filled once at construction.
+  std::vector<int> unstarted_;
+  std::vector<double> planned_time_;
   double mem_free_;
   double mem_used_ = 0.0;
   double now_ = 0.0;
@@ -249,13 +277,19 @@ ScheduleResult RunScheduleKernel(const ExecutionContext& exec,
 
 /// Q-value greedy picker (§V intro): when idle, starts the unexecuted model
 /// with maximal predicted Q; stops once END has the highest value. The Slot
-/// overloads draw Q values through a shared DecisionPlane (so a co-scheduling
+/// overloads draw rows through a shared DecisionPlane (so a co-scheduling
 /// driver can batch them); the predictor overloads keep a private plane.
+/// Greedy compares raw Q values, so its slot must sit on a RowForm::kQ plane
+/// (checked).
 ModelPicker MakeGreedyPicker(ModelValuePredictor* predictor);
 ModelPicker MakeGreedyPicker(DecisionPlane::Slot* slot);
 
 /// Algorithm 1 picker: when idle, starts the feasible model maximizing
-/// SchedulingProfit(Q) / planned time.
+/// SchedulingProfit(Q) / planned time. The deadline pickers read
+/// Slot::Profits, so they run on either plane form; a RowForm::kProfit plane
+/// (what the predictor overloads and LabelingService's serial and parallel
+/// sessions build) stores the profits themselves and skips the per-slot
+/// transform.
 ModelPicker MakeDeadlinePicker(ModelValuePredictor* predictor);
 ModelPicker MakeDeadlinePicker(DecisionPlane::Slot* slot);
 

@@ -13,9 +13,7 @@ namespace ams::nn {
 DenseLayer::DenseLayer(int in_dim, int out_dim, util::Rng* rng)
     : w_(Matrix::RandomNormal(in_dim, out_dim,
                               std::sqrt(2.0f / static_cast<float>(in_dim)), rng)),
-      dw_(in_dim, out_dim),
-      b_(static_cast<size_t>(out_dim), 0.0f),
-      db_(static_cast<size_t>(out_dim), 0.0f) {
+      b_(static_cast<size_t>(out_dim), 0.0f) {
   AMS_CHECK(in_dim > 0 && out_dim > 0);
 }
 
@@ -67,6 +65,7 @@ void DenseLayer::ForwardSparseRows(
 void DenseLayer::Backward(const Matrix& x, const Matrix& grad_y, Matrix* grad_x) {
   AMS_CHECK(grad_y.cols() == w_.cols());
   AMS_CHECK(x.rows() == grad_y.rows());
+  AllocateGrads();  // keeps CollectParams views valid: same-size resizes
   GemmTransA(x, grad_y, &dw_);      // dW = x^T * dY
   ColumnSums(grad_y, &db_);         // db = column sums of dY
   if (grad_x != nullptr) {
@@ -74,9 +73,22 @@ void DenseLayer::Backward(const Matrix& x, const Matrix& grad_y, Matrix* grad_x)
   }
 }
 
+void DenseLayer::AllocateGrads() {
+  if (!db_.empty()) return;
+  dw_.Resize(w_.rows(), w_.cols());
+  dw_.Fill(0.0f);
+  db_.assign(b_.size(), 0.0f);
+}
+
 void DenseLayer::CollectParams(std::vector<ParamGrad>* out) {
+  AllocateGrads();
   out->push_back({w_.data(), dw_.data(), static_cast<size_t>(w_.size())});
   out->push_back({b_.data(), db_.data(), b_.size()});
+}
+
+void DenseLayer::CollectWeights(std::vector<ParamGrad>* out) {
+  out->push_back({w_.data(), nullptr, static_cast<size_t>(w_.size())});
+  out->push_back({b_.data(), nullptr, b_.size()});
 }
 
 void DenseLayer::Save(util::BinaryWriter* w) const {
@@ -98,10 +110,14 @@ bool DenseLayer::Load(util::BinaryReader* r) {
   if (static_cast<int>(bias.size()) != out_dim) return false;
   w_.Resize(in_dim, out_dim);
   std::copy(flat.begin(), flat.end(), w_.data());
-  dw_.Resize(in_dim, out_dim);
-  dw_.Fill(0.0f);
   b_ = std::move(bias);
-  db_.assign(b_.size(), 0.0f);
+  // A layer already holding gradients keeps them, reshaped and cleared; a
+  // layer that never trained stays without them.
+  if (!db_.empty()) {
+    dw_.Resize(in_dim, out_dim);
+    dw_.Fill(0.0f);
+    db_.assign(b_.size(), 0.0f);
+  }
   return true;
 }
 

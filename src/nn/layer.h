@@ -21,6 +21,10 @@ struct ParamGrad {
 ///
 /// Backward() overwrites dW/db for the most recent Forward() batch; the
 /// trainer calls optimizer.Step() before the next Backward().
+///
+/// Gradient buffers are allocated on the first CollectParams() or Backward()
+/// call, never by construction or Load(): an inference-only copy (a serving
+/// clone) holds weights alone.
 class DenseLayer {
  public:
   /// He-normal initialization: W ~ N(0, 2/in_dim), b = 0.
@@ -51,7 +55,11 @@ class DenseLayer {
   /// (if grad_x != nullptr) dL/dx.
   void Backward(const Matrix& x, const Matrix& grad_y, Matrix* grad_x);
 
+  /// Weight and gradient views (allocates the gradient buffers on first
+  /// use; the views stay valid across later Backward() calls).
   void CollectParams(std::vector<ParamGrad>* out);
+  /// Weight views only (`grad` is null); allocates nothing.
+  void CollectWeights(std::vector<ParamGrad>* out);
 
   void Save(util::BinaryWriter* w) const;
   /// Returns false on malformed input.
@@ -66,8 +74,11 @@ class DenseLayer {
   const std::vector<float>& bias() const { return b_; }
 
  private:
+  /// Sizes dw_/db_ to the weights' shape if they are not allocated yet.
+  void AllocateGrads();
+
   Matrix w_;   // [in_dim, out_dim]
-  Matrix dw_;  // same shape
+  Matrix dw_;  // same shape once allocated; empty until then
   std::vector<float> b_;
   std::vector<float> db_;
 };

@@ -8,8 +8,8 @@ namespace ams::nn {
 
 void QValueNet::CopyWeightsFrom(QValueNet* src) {
   std::vector<ParamGrad> dst_params, src_params;
-  CollectParams(&dst_params);
-  src->CollectParams(&src_params);
+  CollectWeights(&dst_params);
+  src->CollectWeights(&src_params);
   AMS_CHECK(dst_params.size() == src_params.size(), "architecture mismatch");
   for (size_t i = 0; i < dst_params.size(); ++i) {
     AMS_CHECK(dst_params[i].size == src_params[i].size, "tensor size mismatch");
@@ -49,7 +49,7 @@ std::unique_ptr<QValueNet> QValueNet::Quantize(
 
 size_t QValueNet::NumParams() {
   std::vector<ParamGrad> params;
-  CollectParams(&params);
+  CollectWeights(&params);
   size_t n = 0;
   for (const auto& p : params) n += p.size;
   return n;
@@ -120,6 +120,10 @@ void Mlp::Backward(const Matrix& grad_q) {
 
 void Mlp::CollectParams(std::vector<ParamGrad>* out) {
   for (auto& layer : layers_) layer.CollectParams(out);
+}
+
+void Mlp::CollectWeights(std::vector<ParamGrad>* out) {
+  for (auto& layer : layers_) layer.CollectWeights(out);
 }
 
 void Mlp::Save(util::BinaryWriter* w) const {
@@ -267,6 +271,12 @@ void DuelingMlp::CollectParams(std::vector<ParamGrad>* out) {
   for (auto& layer : trunk_) layer.CollectParams(out);
   value_head_->CollectParams(out);
   advantage_head_->CollectParams(out);
+}
+
+void DuelingMlp::CollectWeights(std::vector<ParamGrad>* out) {
+  for (auto& layer : trunk_) layer.CollectWeights(out);
+  value_head_->CollectWeights(out);
+  advantage_head_->CollectWeights(out);
 }
 
 void DuelingMlp::Save(util::BinaryWriter* w) const {

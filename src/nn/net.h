@@ -30,7 +30,12 @@ class QValueNet {
   /// Computes parameter gradients for the cached batch given dL/dQ.
   virtual void Backward(const Matrix& grad_q) = 0;
 
+  /// Weight and gradient views of every tensor, for optimizers. The first
+  /// call allocates the gradient buffers (see DenseLayer).
   virtual void CollectParams(std::vector<ParamGrad>* out) = 0;
+  /// The same tensors' weight views with null `grad`; allocates nothing, so
+  /// inference-only copies never grow gradient buffers.
+  virtual void CollectWeights(std::vector<ParamGrad>* out) = 0;
 
   virtual void Save(util::BinaryWriter* w) const = 0;
   virtual bool Load(util::BinaryReader* r) = 0;
@@ -38,7 +43,8 @@ class QValueNet {
   virtual std::unique_ptr<QValueNet> Clone() const = 0;
 
   /// Copies all weights from `src` (same architecture); used to sync target
-  /// networks.
+  /// networks and serving clones. Touches weights only: neither net gains
+  /// gradient buffers.
   void CopyWeightsFrom(QValueNet* src);
 
   /// Inference-only batched forward over sparse state rows: q becomes
@@ -103,6 +109,7 @@ class Mlp : public QValueNet {
                     Matrix* q) override;
   void Backward(const Matrix& grad_q) override;
   void CollectParams(std::vector<ParamGrad>* out) override;
+  void CollectWeights(std::vector<ParamGrad>* out) override;
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
   std::unique_ptr<QValueNet> Clone() const override;
@@ -141,6 +148,7 @@ class DuelingMlp : public QValueNet {
                     Matrix* q) override;
   void Backward(const Matrix& grad_q) override;
   void CollectParams(std::vector<ParamGrad>* out) override;
+  void CollectWeights(std::vector<ParamGrad>* out) override;
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
   std::unique_ptr<QValueNet> Clone() const override;

@@ -162,6 +162,11 @@ void QuantizedMlp::CollectParams(std::vector<ParamGrad>* out) {
   InferenceOnly("CollectParams");
 }
 
+void QuantizedMlp::CollectWeights(std::vector<ParamGrad>* out) {
+  (void)out;
+  InferenceOnly("CollectWeights");
+}
+
 void QuantizedMlp::Save(util::BinaryWriter* w) const {
   (void)w;
   InferenceOnly("Save");
@@ -256,6 +261,11 @@ void QuantizedDuelingMlp::Backward(const Matrix& grad_q) {
 void QuantizedDuelingMlp::CollectParams(std::vector<ParamGrad>* out) {
   (void)out;
   InferenceOnly("CollectParams");
+}
+
+void QuantizedDuelingMlp::CollectWeights(std::vector<ParamGrad>* out) {
+  (void)out;
+  InferenceOnly("CollectWeights");
 }
 
 void QuantizedDuelingMlp::Save(util::BinaryWriter* w) const {

@@ -48,7 +48,8 @@ class QuantizedDenseLayer {
 };
 
 /// int8 snapshot of an Mlp, built by Mlp::Quantize(). Inference-only:
-/// Backward/CollectParams/Save abort, weight syncs skip it (IsQuantized).
+/// Backward/CollectParams/CollectWeights/Save abort, weight syncs skip it
+/// (IsQuantized).
 class QuantizedMlp : public QValueNet {
  public:
   QuantizedMlp(const MlpConfig& config,
@@ -65,6 +66,7 @@ class QuantizedMlp : public QValueNet {
                     Matrix* q) override;
   void Backward(const Matrix& grad_q) override;
   void CollectParams(std::vector<ParamGrad>* out) override;
+  void CollectWeights(std::vector<ParamGrad>* out) override;
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
   std::unique_ptr<QValueNet> Clone() const override;
@@ -96,6 +98,7 @@ class QuantizedDuelingMlp : public QValueNet {
                     Matrix* q) override;
   void Backward(const Matrix& grad_q) override;
   void CollectParams(std::vector<ParamGrad>* out) override;
+  void CollectWeights(std::vector<ParamGrad>* out) override;
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
   std::unique_ptr<QValueNet> Clone() const override;

@@ -1,8 +1,9 @@
 // Tests of the execution-plane seams: batched vs scalar Q-prediction
 // (bitwise parity on rl::Agent, on DecisionPlane refreshes with and without
-// a caller arena, and identical service outcomes), lean vs full kernel mode
-// (identical value/makespan/recall), and the builder validation of the
-// knobs.
+// a caller arena, on Q-form and profit-form planes, and identical service
+// outcomes), table-driven vs per-model-scan pickers (identical schedules),
+// lean vs full kernel mode (identical value/makespan/recall), and the
+// builder validation of the knobs.
 
 #include <gtest/gtest.h>
 
@@ -204,9 +205,12 @@ TEST_F(ExecutionPlaneTest, BatchedSessionsCoalesceAllPredictions) {
 
 TEST_F(ExecutionPlaneTest, PlaneRefreshMatchesWithAndWithoutArenaAndScalar) {
   // Three ways to refresh the same item states: Prefetch through a caller
-  // arena, Prefetch through the plane's own arena, and scalar Slot::Values.
-  // Rows must be bitwise identical, and the two Prefetch planes must count
-  // the same forward rows and memo hits round for round.
+  // arena, Prefetch through the plane's own arena, and scalar Slot::Values,
+  // each on a Q-form and on a profit-form plane. Q rows must be bitwise
+  // identical across the three ways, profit rows bitwise SchedulingProfit
+  // of the Q rows, and Slot::Profits the same on both forms. Every Prefetch
+  // plane, whatever its form, must count the same forward rows and memo
+  // hits round for round.
   std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 47);
   const int num_labels = zoo_->labels().total_labels();
   const int num_models = zoo_->num_models();
@@ -224,46 +228,80 @@ TEST_F(ExecutionPlaneTest, PlaneRefreshMatchesWithAndWithoutArenaAndScalar) {
   }
   const std::vector<LabelingState> initial = states;
 
-  util::Arena arena;
-  DecisionPlane with_arena(agent.get(), /*memoize_rows=*/true);
-  with_arena.AttachArena(&arena);
-  DecisionPlane own_arena(agent.get(), /*memoize_rows=*/true);
-  DecisionPlane scalar(agent.get());
-  std::vector<DecisionPlane::Slot*> slots_a, slots_b, slots_c;
+  // The three refresh ways over one row form.
+  struct Ways {
+    Ways(ModelValuePredictor* predictor, RowForm form)
+        : with_arena(predictor, /*memoize_rows=*/true, form),
+          own_arena(predictor, /*memoize_rows=*/true, form),
+          scalar(predictor, /*memoize_rows=*/false, form) {
+      with_arena.AttachArena(&arena);
+    }
+    util::Arena arena;
+    DecisionPlane with_arena, own_arena, scalar;
+    std::vector<DecisionPlane::Slot*> slots_a, slots_b, slots_c;
+  };
+  Ways q_ways(agent.get(), RowForm::kQ);
+  Ways profit_ways(agent.get(), RowForm::kProfit);
   const auto new_slots = [&] {
-    slots_a.clear();
-    slots_b.clear();
-    slots_c.clear();
-    for (int i = 0; i < kItems; ++i) {
-      slots_a.push_back(with_arena.NewSlot());
-      slots_b.push_back(own_arena.NewSlot());
-      slots_c.push_back(scalar.NewSlot());
+    for (Ways* w : {&q_ways, &profit_ways}) {
+      w->slots_a.clear();
+      w->slots_b.clear();
+      w->slots_c.clear();
+      for (int i = 0; i < kItems; ++i) {
+        w->slots_a.push_back(w->with_arena.NewSlot());
+        w->slots_b.push_back(w->own_arena.NewSlot());
+        w->slots_c.push_back(w->scalar.NewSlot());
+      }
     }
   };
+  const auto expect_same_counters = [](const DecisionPlane& a,
+                                       const DecisionPlane& b,
+                                       const char* round) {
+    EXPECT_EQ(a.scalar_predictions(), b.scalar_predictions()) << round;
+    EXPECT_EQ(a.batched_predictions(), b.batched_predictions()) << round;
+    EXPECT_EQ(a.batched_rows(), b.batched_rows()) << round;
+    EXPECT_EQ(a.memo_hits(), b.memo_hits()) << round;
+  };
   const auto refresh_and_compare = [&](const char* round) {
-    std::vector<DecisionPlane::SlotView> views_a, views_b;
-    for (int i = 0; i < kItems; ++i) {
-      views_a.push_back({slots_a[i], &states[i]});
-      views_b.push_back({slots_b[i], &states[i]});
+    for (Ways* w : {&q_ways, &profit_ways}) {
+      std::vector<DecisionPlane::SlotView> views_a, views_b;
+      for (int i = 0; i < kItems; ++i) {
+        views_a.push_back({w->slots_a[i], &states[i]});
+        views_b.push_back({w->slots_b[i], &states[i]});
+      }
+      w->arena.Reset();
+      w->with_arena.Prefetch(views_a);
+      w->own_arena.Prefetch(views_b);
     }
-    arena.Reset();
-    with_arena.Prefetch(views_a);
-    own_arena.Prefetch(views_b);
     for (int i = 0; i < kItems; ++i) {
-      const std::vector<double>& expected = slots_c[i]->Values(states[i]);
-      EXPECT_EQ(slots_a[i]->Values(states[i]), expected)
+      const std::vector<double> q = q_ways.slots_c[i]->Values(states[i]);
+      std::vector<double> profit(q.size());
+      for (size_t j = 0; j < q.size(); ++j) profit[j] = SchedulingProfit(q[j]);
+      EXPECT_EQ(q_ways.slots_a[i]->Values(states[i]), q)
           << round << " item " << i;
-      EXPECT_EQ(slots_b[i]->Values(states[i]), expected)
+      EXPECT_EQ(q_ways.slots_b[i]->Values(states[i]), q)
           << round << " item " << i;
+      for (Ways* w : {&q_ways, &profit_ways}) {
+        for (DecisionPlane::Slot* slot :
+             {w->slots_a[i], w->slots_b[i], w->slots_c[i]}) {
+          if (w == &profit_ways) {
+            EXPECT_EQ(slot->Values(states[i]), profit)
+                << round << " item " << i;
+          }
+          EXPECT_EQ(slot->Profits(states[i]), profit)
+              << round << " item " << i;
+        }
+      }
     }
-    // Prefetch refreshed every slot: reading them ran no scalar forward.
-    EXPECT_EQ(with_arena.scalar_predictions(), 0) << round;
-    EXPECT_EQ(own_arena.scalar_predictions(), 0) << round;
-    EXPECT_EQ(with_arena.batched_predictions(),
-              own_arena.batched_predictions())
-        << round;
-    EXPECT_EQ(with_arena.batched_rows(), own_arena.batched_rows()) << round;
-    EXPECT_EQ(with_arena.memo_hits(), own_arena.memo_hits()) << round;
+    for (Ways* w : {&q_ways, &profit_ways}) {
+      // Prefetch refreshed every slot: reading them ran no scalar forward.
+      EXPECT_EQ(w->with_arena.scalar_predictions(), 0) << round;
+      EXPECT_EQ(w->own_arena.scalar_predictions(), 0) << round;
+      expect_same_counters(w->with_arena, w->own_arena, round);
+    }
+    // The row form changes what is stored, never how rows are computed.
+    expect_same_counters(q_ways.with_arena, profit_ways.with_arena, round);
+    expect_same_counters(q_ways.scalar, profit_ways.scalar, round);
   };
 
   // Round 1: cold planes; one forward row per distinct state (at most
@@ -273,8 +311,9 @@ TEST_F(ExecutionPlaneTest, PlaneRefreshMatchesWithAndWithoutArenaAndScalar) {
   ASSERT_LE(distinct.size(), static_cast<size_t>(kItems / 2));
   new_slots();
   refresh_and_compare("cold");
-  EXPECT_EQ(with_arena.batched_rows(), static_cast<long>(distinct.size()));
-  EXPECT_EQ(with_arena.memo_hits(), 0);
+  EXPECT_EQ(q_ways.with_arena.batched_rows(),
+            static_cast<long>(distinct.size()));
+  EXPECT_EQ(q_ways.with_arena.memo_hits(), 0);
 
   // Round 2: odd items advance by one more model (new states); even items
   // stay fresh and are skipped.
@@ -287,12 +326,179 @@ TEST_F(ExecutionPlaneTest, PlaneRefreshMatchesWithAndWithoutArenaAndScalar) {
 
   // Round 3: fresh slots over the round-1 states — every row is a memo hit.
   states = initial;
-  const long rows_before = with_arena.batched_rows();
-  const long hits_before = with_arena.memo_hits();
+  const long rows_before = q_ways.with_arena.batched_rows();
+  const long hits_before = q_ways.with_arena.memo_hits();
   new_slots();
   refresh_and_compare("memo");
-  EXPECT_EQ(with_arena.batched_rows(), rows_before);
-  EXPECT_EQ(with_arena.memo_hits() - hits_before, kItems);
+  EXPECT_EQ(q_ways.with_arena.batched_rows(), rows_before);
+  EXPECT_EQ(q_ways.with_arena.memo_hits() - hits_before, kItems);
+}
+
+TEST_F(ExecutionPlaneTest, GreedyPickerRejectsProfitFormPlane) {
+  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 49);
+  DecisionPlane plane(agent.get(), /*memoize_rows=*/false, RowForm::kProfit);
+  DecisionPlane::Slot* slot = plane.NewSlot();
+  EXPECT_DEATH(MakeGreedyPicker(slot), "RowForm::kQ");
+}
+
+// --- table-driven pickers --------------------------------------------------
+
+// The per-model scan pickers that the table-driven ones replaced, kept as
+// the parity reference. Every pick call re-derives SchedulingProfit, calls
+// the virtual PlannedTime and looks the spec up, for every model not yet
+// started. They read raw Q rows, so they run on a RowForm::kQ slot.
+int ScanGreedyPick(DecisionPlane::Slot* slot, const PickContext& pick) {
+  if (!pick.idle) return -1;
+  const std::vector<double>& q = slot->Values(*pick.state);
+  const int end_action = pick.exec->num_models();
+  int best = -1;
+  double best_q = q[static_cast<size_t>(end_action)];
+  for (int m = 0; m < pick.exec->num_models(); ++m) {
+    if ((*pick.started)[static_cast<size_t>(m)]) continue;
+    if (best == -1 || q[static_cast<size_t>(m)] > best_q) {
+      best = m;
+      best_q = q[static_cast<size_t>(m)];
+    }
+  }
+  if (best == -1 || q[static_cast<size_t>(end_action)] >= best_q) return -1;
+  return best;
+}
+
+int ScanDeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
+  if (!pick.idle) return -1;
+  const std::vector<double>& q = slot->Values(*pick.state);
+  int best = -1;
+  double best_ratio = 0.0;
+  for (int m = 0; m < pick.exec->num_models(); ++m) {
+    if ((*pick.started)[static_cast<size_t>(m)]) continue;
+    const double planned = pick.exec->PlannedTime(m);
+    if (planned > pick.remaining_time()) continue;
+    const double ratio = SchedulingProfit(q[static_cast<size_t>(m)]) / planned;
+    if (best == -1 || ratio > best_ratio) {
+      best = m;
+      best_ratio = ratio;
+    }
+  }
+  return best;
+}
+
+int ScanDeadlineMemoryPick(DecisionPlane::Slot* slot, const PickContext& pick) {
+  const std::vector<double>& q = slot->Values(*pick.state);
+  int best = -1;
+  double best_score = 0.0;
+  for (int m = 0; m < pick.exec->num_models(); ++m) {
+    if ((*pick.started)[static_cast<size_t>(m)]) continue;
+    const auto& spec = pick.exec->model(m);
+    if (spec.mem_mb > pick.mem_free) continue;
+    if (pick.now + pick.exec->PlannedTime(m) > pick.deadline) continue;
+    const double profit = SchedulingProfit(q[static_cast<size_t>(m)]);
+    const double score = pick.idle ? profit / (spec.time_s * spec.mem_mb)
+                                   : profit / spec.mem_mb;
+    if (best == -1 || score > best_score) {
+      best = m;
+      best_score = score;
+    }
+  }
+  return best;
+}
+
+// Every model gets the same Q (END the lowest), so equal-cost models tie on
+// every ratio and the argmax must keep breaking ties toward the lowest id.
+class TiedPredictor : public ModelValuePredictor {
+ public:
+  explicit TiedPredictor(int num_actions)
+      : q_(static_cast<size_t>(num_actions), 0.7) {
+    q_.back() = -1.0;
+  }
+  std::vector<double> PredictValues(const std::vector<float>&) override {
+    return q_;
+  }
+  int num_actions() const override { return static_cast<int>(q_.size()); }
+
+ private:
+  std::vector<double> q_;
+};
+
+TEST_F(ExecutionPlaneTest, TableDrivenPickersMatchPerModelScan) {
+  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 53);
+  TiedPredictor tied(zoo_->num_models() + 1);
+  ScheduleConstraints serial;
+  serial.time_budget_s = 0.8;
+  int executions = 0;
+  for (ModelValuePredictor* predictor :
+       {static_cast<ModelValuePredictor*>(agent.get()),
+        static_cast<ModelValuePredictor*>(&tied)}) {
+    for (const ExecutionMode mode :
+         {ExecutionMode::kGreedy, ExecutionMode::kSerial,
+          ExecutionMode::kParallel}) {
+      const ScheduleConstraints constraints =
+          mode == ExecutionMode::kGreedy     ? ScheduleConstraints()
+          : mode == ExecutionMode::kSerial ? serial
+                                           : ParallelConstraints();
+      const auto scan = mode == ExecutionMode::kGreedy   ? ScanGreedyPick
+                        : mode == ExecutionMode::kSerial ? ScanDeadlinePick
+                                                         : ScanDeadlineMemoryPick;
+      const auto slot_picker = [mode](DecisionPlane::Slot* slot) {
+        return mode == ExecutionMode::kGreedy   ? MakeGreedyPicker(slot)
+               : mode == ExecutionMode::kSerial ? MakeDeadlinePicker(slot)
+                                                : MakeDeadlineMemoryPicker(slot);
+      };
+      // Oracle replay (planned times are per-item draws) and live scenes
+      // (planned times are the spec means, so equal-time models tie on
+      // Algorithm 1's ratio under the tied predictor).
+      for (int k = 0; k < 48; ++k) {
+        const int item = k / 2;
+        const ReplayExecutionContext replay(oracle_, item);
+        const LiveExecutionContext live(zoo_, &dataset_->item(item).scene);
+        const ExecutionContext& exec =
+            k % 2 == 0 ? static_cast<const ExecutionContext&>(replay) : live;
+        DecisionPlane reference_plane(predictor);
+        DecisionPlane::Slot* reference_slot = reference_plane.NewSlot();
+        const ScheduleResult expected = RunScheduleKernel(
+            exec, constraints, [&](const PickContext& pick) {
+              return scan(reference_slot, pick);
+            });
+        executions += expected.num_executions;
+
+        // The table-driven pickers on a shared slot of each row form
+        // (greedy is Q-only), and on the private plane of the predictor
+        // overloads.
+        std::vector<ScheduleResult> results;
+        for (const RowForm form : {RowForm::kQ, RowForm::kProfit}) {
+          if (mode == ExecutionMode::kGreedy && form == RowForm::kProfit) {
+            continue;
+          }
+          DecisionPlane plane(predictor, /*memoize_rows=*/false, form);
+          results.push_back(RunScheduleKernel(exec, constraints,
+                                              slot_picker(plane.NewSlot())));
+        }
+        results.push_back(RunScheduleKernel(
+            exec, constraints,
+            mode == ExecutionMode::kGreedy   ? MakeGreedyPicker(predictor)
+            : mode == ExecutionMode::kSerial ? MakeDeadlinePicker(predictor)
+                                             : MakeDeadlineMemoryPicker(predictor)));
+        for (size_t r = 0; r < results.size(); ++r) {
+          const ScheduleResult& got = results[r];
+          SCOPED_TRACE(testing::Message()
+                       << "mode " << static_cast<int>(mode) << " item "
+                       << item << (k % 2 == 0 ? " replay" : " live")
+                       << " variant " << r);
+          EXPECT_EQ(got.value, expected.value);
+          EXPECT_EQ(got.makespan_s, expected.makespan_s);
+          ASSERT_EQ(got.executions.size(), expected.executions.size());
+          for (size_t k = 0; k < got.executions.size(); ++k) {
+            EXPECT_EQ(got.executions[k].model_id,
+                      expected.executions[k].model_id);
+            EXPECT_EQ(got.executions[k].start_s,
+                      expected.executions[k].start_s);
+            EXPECT_EQ(got.executions[k].finish_s,
+                      expected.executions[k].finish_s);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(executions, 0) << "the reference schedules must run models";
 }
 
 // --- lean kernel mode ------------------------------------------------------

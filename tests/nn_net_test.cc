@@ -1,5 +1,6 @@
 // Unit tests of the dense networks: numerically checked gradients for both
-// architectures, serialization round trips, and clone independence.
+// architectures, serialization round trips, clone independence, and lazily
+// allocated gradient buffers.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "nn/grad_check.h"
 #include "nn/net.h"
+#include "nn/optimizer.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -229,6 +231,52 @@ TEST(NetTest, NumParamsMatchesArchitecture) {
   DuelingMlp dueling(config, 3);
   EXPECT_EQ(dueling.NumParams(),
             10u * 16u + 16u + (16u * 1u + 1u) + (16u * 4u + 4u));
+}
+
+TEST(NetTest, GradientAllocationOrderDoesNotChangeOptimizerSteps) {
+  // Gradient buffers appear on the first CollectParams or Backward call.
+  // A trainer that collects before its first Backward and one that collects
+  // after it must see the same buffers and take identical Adam steps.
+  const MlpConfig config{6, {8, 5}, 3};
+  for (const bool dueling : {false, true}) {
+    std::unique_ptr<QValueNet> source;
+    if (dueling) {
+      source = std::make_unique<DuelingMlp>(config, 21);
+    } else {
+      source = std::make_unique<Mlp>(config, 21);
+    }
+    // Clones come from Load, the serving-clone path: no gradients yet.
+    std::unique_ptr<QValueNet> collect_first = source->Clone();
+    std::unique_ptr<QValueNet> backward_first = source->Clone();
+    Adam adam_a(0.01f), adam_b(0.01f);
+    std::vector<ParamGrad> params_a, params_b;
+    collect_first->CollectParams(&params_a);
+    for (int step = 0; step < 3; ++step) {
+      const Matrix x = RandomBatch(4, 6, 40 + step);
+      const Matrix grad_q = RandomBatch(4, 3, 50 + step);
+      Matrix q;
+      collect_first->Forward(x, &q);
+      collect_first->Backward(grad_q);
+      adam_a.Step(params_a);
+      backward_first->Forward(x, &q);
+      backward_first->Backward(grad_q);
+      if (step == 0) backward_first->CollectParams(&params_b);
+      adam_b.Step(params_b);
+
+      std::vector<ParamGrad> weights_a, weights_b;
+      collect_first->CollectWeights(&weights_a);
+      backward_first->CollectWeights(&weights_b);
+      ASSERT_EQ(weights_a.size(), weights_b.size());
+      for (size_t t = 0; t < weights_a.size(); ++t) {
+        EXPECT_EQ(weights_a[t].grad, nullptr);
+        ASSERT_EQ(weights_a[t].size, weights_b[t].size);
+        for (size_t i = 0; i < weights_a[t].size; ++i) {
+          ASSERT_EQ(weights_a[t].param[i], weights_b[t].param[i])
+              << "dueling=" << dueling << " step " << step << " tensor " << t;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
