@@ -49,8 +49,18 @@ void Matrix::CopyRowFrom(const Matrix& src, int src_row, int dst_row) {
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {
   AMS_CHECK(a.cols() == b.rows(), "gemm shape mismatch");
   out->Resize(a.rows(), b.cols());
-  out->Fill(0.0f);  // accumulating variant — see the zero-init contract
   const int m = a.rows(), k = a.cols(), n = b.cols();
+  const simd::Kernels& K = simd::Active();
+  if (n <= simd::kNarrowMaxCols) {
+    // Narrow outputs (the Q heads): the whole output row fits in registers,
+    // so one gemv_narrow call per row writes it once — same per-element
+    // order and zero-skip as the axpy path below, hence bitwise identical.
+    for (int i = 0; i < m; ++i) {
+      K.gemv_narrow(a.Row(i), b.data(), k, n, out->Row(i));
+    }
+    return;
+  }
+  out->Fill(0.0f);  // accumulating path — see the zero-init contract
   // Row-blocked traversal: 4 rows of a share each loaded row of b, cutting
   // the b traffic and per-kk loop overhead 4x for batched inputs — the part
   // of a batched forward pass a single-row call can never amortize. Each
@@ -58,7 +68,6 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {
   // results are bitwise identical to the single-row traversal. The j-loops
   // run through the dispatched SIMD kernels (nn/simd.h), which preserve
   // that per-element mul+add order exactly.
-  const simd::Kernels& K = simd::Active();
   int i = 0;
   for (; i + 4 <= m; i += 4) {
     float* o0 = out->Row(i);

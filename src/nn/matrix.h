@@ -59,13 +59,17 @@ class Matrix {
 
 // Zero-init contract for the three Gemm variants: Resize() leaves contents
 // unspecified, so each variant must neutralize stale output storage itself.
-// Gemm and GemmTransA accumulate (+=) into the output and therefore Fill(0)
-// first; GemmTransB computes each out[i][j] into a fresh accumulator and
-// stores it exactly once, so it deliberately skips the fill. All three are
-// safe to call on a Matrix holding arbitrary garbage (regression-tested in
-// nn_matrix_test).
+// GemmTransA, and Gemm with more than simd::kNarrowMaxCols output columns,
+// accumulate (+=) into the output and therefore Fill(0) first; GemmTransB,
+// and Gemm with narrow outputs (one gemv_narrow call per row), compute each
+// out[i][j] into a fresh accumulator and store it exactly once, so they
+// skip the fill. All are safe to call on a Matrix holding arbitrary garbage
+// (regression-tested in nn_matrix_test).
 
 /// out = a * b. Shapes: a[m,k], b[k,n], out[m,n]. out may not alias inputs.
+/// Each out[i][j] sums a[i][kk] * b[kk][j] over the nonzero a[i][kk] in
+/// ascending kk, mul then add, from +0 — on every SIMD tier and both sides
+/// of the n <= simd::kNarrowMaxCols cut-over to the gemv_narrow kernel.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a^T * b. Shapes: a[m,k], b[m,n], out[k,n].

@@ -33,6 +33,17 @@ void ScalarAxpy4(float v0, float v1, float v2, float v3, const float* b,
   }
 }
 
+void ScalarGemvNarrow(const float* a, const float* b, int k, int n,
+                      float* out) {
+  for (int j = 0; j < n; ++j) out[j] = 0.0f;
+  for (int kk = 0; kk < k; ++kk) {
+    const float v = a[kk];
+    if (v == 0.0f) continue;
+    const float* row = b + static_cast<size_t>(kk) * n;
+    for (int j = 0; j < n; ++j) out[j] += v * row[j];
+  }
+}
+
 void ScalarAddInplace(const float* b, float* out, int n) {
   for (int j = 0; j < n; ++j) out[j] += b[j];
 }
@@ -61,8 +72,8 @@ void ScalarDequant(const int32_t* acc, const float* scale, const float* bias,
 }
 
 const Kernels kScalarKernels = {
-    ScalarAxpy,   ScalarAxpy4, ScalarAddInplace, ScalarRelu,
-    ScalarDot8,   ScalarQaxpy, ScalarDequant,
+    ScalarAxpy, ScalarAxpy4, ScalarGemvNarrow, ScalarAddInplace,
+    ScalarRelu, ScalarDot8,  ScalarQaxpy,      ScalarDequant,
 };
 
 // ---------------------------------------------------------------------------

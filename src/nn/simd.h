@@ -14,6 +14,10 @@ enum class Tier : int {
   kNeon = 2,  // aarch64 baseline
 };
 
+/// Widest output row the gemv_narrow slot takes: four 8-lane AVX2
+/// accumulators (eight 4-lane NEON ones) held in registers.
+constexpr int kNarrowMaxCols = 32;
+
 /// The vectorizable inner loops of the nn substrate, as a function-pointer
 /// table resolved once at startup. Every fp32 kernel is elementwise
 /// equivalent to its scalar counterpart — vector lanes map to output
@@ -31,6 +35,16 @@ struct Kernels {
   /// zero-skip exactly.
   void (*axpy4)(float v0, float v1, float v2, float v3, const float* b,
                 float* o0, float* o1, float* o2, float* o3, int n);
+  /// One output row of a dense layer with n <= kNarrowMaxCols outputs:
+  /// out[j] = sum of a[kk] * b[kk*n + j] over kk in [0, k), for j in
+  /// [0, n), where b is the k x n row-major weight matrix. Each out[j]
+  /// starts from +0 and adds the products in ascending kk with a separate
+  /// mul then add, skipping every a[kk] == 0 — bitwise identical to
+  /// zero-filling out and calling axpy once per nonzero a[kk]. Writes every
+  /// out[j] exactly once and touches nothing outside a[0, k), b[0, k*n) and
+  /// out[0, n).
+  void (*gemv_narrow)(const float* a, const float* b, int k, int n,
+                      float* out);
   /// out[j] += b[j].
   void (*add_inplace)(const float* b, float* out, int n);
   /// out[j] = in[j] > 0 ? in[j] : 0, with scalar-identical -0.0/NaN

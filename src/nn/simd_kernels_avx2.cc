@@ -56,6 +56,63 @@ void Avx2Axpy4(float v0, float v1, float v2, float v3, const float* b,
   }
 }
 
+// kBlocks = ceil(n / 8) accumulators stay in registers across the whole k
+// loop, so each nonzero a[kk] costs one pass over its weight row and the
+// output row is stored once. The last block is a masked load/store (lanes
+// [0, n - 8 * (kBlocks - 1))), which neither reads past the last weight row
+// nor writes past out[n - 1]; its masked-off lanes are computed but never
+// stored. The zero-skip runs as a branch-free compaction of the nonzero
+// indices, chunk by chunk: a ReLU output's zero pattern is data-dependent,
+// and branching on each a[kk] cost more in mispredictions than the
+// multiply-adds it saved. Lane j still sees the scalar sequence +0, then
+// += a[kk] * b[kk*n + j] for each nonzero a[kk] in ascending kk.
+template <int kBlocks>
+void Avx2GemvNarrowBlocks(const float* a, const float* b, int k, int n,
+                          float* out) {
+  constexpr int kLast = 8 * (kBlocks - 1);
+  constexpr int kChunk = 256;
+  const __m256i tail =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(n - kLast),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 acc[kBlocks];
+  for (int q = 0; q < kBlocks; ++q) acc[q] = _mm256_setzero_ps();
+  int nonzero[kChunk];
+  for (int k0 = 0; k0 < k; k0 += kChunk) {
+    const int k1 = k - k0 < kChunk ? k : k0 + kChunk;
+    int count = 0;
+    for (int kk = k0; kk < k1; ++kk) {
+      nonzero[count] = kk;
+      count += a[kk] != 0.0f;
+    }
+    for (int t = 0; t < count; ++t) {
+      const int kk = nonzero[t];
+      const __m256 vv = _mm256_set1_ps(a[kk]);
+      const float* row = b + static_cast<size_t>(kk) * n;
+      for (int q = 0; q + 1 < kBlocks; ++q) {
+        acc[q] = _mm256_add_ps(
+            acc[q], _mm256_mul_ps(vv, _mm256_loadu_ps(row + 8 * q)));
+      }
+      acc[kBlocks - 1] = _mm256_add_ps(
+          acc[kBlocks - 1],
+          _mm256_mul_ps(vv, _mm256_maskload_ps(row + kLast, tail)));
+    }
+  }
+  for (int q = 0; q + 1 < kBlocks; ++q) {
+    _mm256_storeu_ps(out + 8 * q, acc[q]);
+  }
+  _mm256_maskstore_ps(out + kLast, tail, acc[kBlocks - 1]);
+}
+
+void Avx2GemvNarrow(const float* a, const float* b, int k, int n,
+                    float* out) {
+  switch ((n + 7) / 8) {
+    case 1: Avx2GemvNarrowBlocks<1>(a, b, k, n, out); return;
+    case 2: Avx2GemvNarrowBlocks<2>(a, b, k, n, out); return;
+    case 3: Avx2GemvNarrowBlocks<3>(a, b, k, n, out); return;
+    case 4: Avx2GemvNarrowBlocks<4>(a, b, k, n, out); return;
+  }
+}
+
 void Avx2AddInplace(const float* b, float* out, int n) {
   int j = 0;
   for (; j + 8 <= n; j += 8) {
@@ -118,8 +175,8 @@ void Avx2Dequant(const int32_t* acc, const float* scale, const float* bias,
 }
 
 const Kernels kAvx2Kernels = {
-    Avx2Axpy,   Avx2Axpy4, Avx2AddInplace, Avx2Relu,
-    Avx2Dot8,   Avx2Qaxpy, Avx2Dequant,
+    Avx2Axpy, Avx2Axpy4, Avx2GemvNarrow, Avx2AddInplace,
+    Avx2Relu, Avx2Dot8,  Avx2Qaxpy,      Avx2Dequant,
 };
 
 }  // namespace

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "nn/matrix.h"
+#include "nn/simd.h"
 #include "util/rng.h"
 
 namespace ams::nn {
@@ -109,6 +113,63 @@ TEST(MatrixTest, GemmWithSparseZeroRowsSkipsCorrectly) {
     EXPECT_FLOAT_EQ(out.At(0, j), 0.0f);
     EXPECT_FLOAT_EQ(out.At(3, j), 0.0f);
   }
+}
+
+// Gemm's exact contract, written out: each element starts from +0 and adds
+// a[i][kk] * b[kk][j] (mul, then add) over the nonzero a[i][kk] in
+// ascending kk.
+Matrix ReferenceGemm(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      float acc = 0.0f;
+      for (int kk = 0; kk < a.cols(); ++kk) {
+        const float v = a.At(i, kk);
+        if (v == 0.0f) continue;
+        const float prod = v * b.At(kk, j);
+        acc += prod;
+      }
+      out.At(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+TEST(MatrixTest, GemmBitwiseMatchesReferenceAcrossNarrowCutover) {
+  // Rows 1-5 and 17 cover the 4-row block and its remainders; the widths
+  // straddle the n <= kNarrowMaxCols switch to the gemv_narrow kernel.
+  constexpr int kCut = simd::kNarrowMaxCols;
+  const std::vector<simd::Tier> tiers = {
+      simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kNeon};
+  for (const simd::Tier tier : tiers) {
+    if (!simd::TierSupported(tier)) continue;
+    simd::ForceTier(tier);
+    for (const int m : {1, 2, 3, 4, 5, 17}) {
+      for (const int n : {1, 7, 31, kCut, kCut + 1, 64}) {
+        for (const int k : {1, 40}) {
+          util::Rng rng(static_cast<uint64_t>(m * 7919 + n * 31 + k));
+          Matrix a = RandomMatrix(m, k, &rng);
+          // Sparse rows with both zero signs, as after a ReLU.
+          for (int r = 0; r < m; ++r) {
+            for (int c = 0; c < k; ++c) {
+              if ((r + 2 * c) % 3 == 0) a.At(r, c) = (c % 2) ? -0.0f : 0.0f;
+            }
+          }
+          const Matrix b = RandomMatrix(k, n, &rng);
+          Matrix out(m, n);
+          out.Fill(std::numeric_limits<float>::quiet_NaN());
+          Gemm(a, b, &out);
+          const Matrix ref = ReferenceGemm(a, b);
+          ASSERT_EQ(std::memcmp(out.data(), ref.data(),
+                                sizeof(float) * static_cast<size_t>(m * n)),
+                    0)
+              << "m=" << m << " n=" << n << " k=" << k
+              << " tier=" << simd::TierName(tier);
+        }
+      }
+    }
+  }
+  simd::ResetForcedTier();
 }
 
 TEST(MatrixTest, GemmVariantsOverwritePoisonedOutput) {

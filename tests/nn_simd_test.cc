@@ -1,10 +1,14 @@
 // Bitwise-parity locks for the dispatched SIMD kernels (nn/simd.h): every
 // vectorized fp32 kernel and every op built on one must produce bit-for-bit
 // the same results as the always-compiled scalar tier, across even, odd and
-// sub-vector-width shapes. On machines with no vector tier the parity tests
-// skip (there is nothing to compare) but the dispatch/alignment tests run.
+// sub-vector-width shapes. On machines with no vector tier the tier-vs-tier
+// parity tests skip (there is nothing to compare); the gemv_narrow tests,
+// which also check the scalar reference against the axpy path and behind
+// guard pages, and the dispatch/alignment tests always run.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
@@ -16,6 +20,7 @@
 #include "nn/matrix.h"
 #include "nn/net.h"
 #include "nn/simd.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace ams::nn {
@@ -186,6 +191,166 @@ TEST_F(SimdParityTest, QaxpyAndDequantMatchScalar) {
     vec.dequant(acc_v.data(), scale.data(), bias.data(), out_v.data(), n);
     ExpectBitEqual(out_s.data(), out_v.data(), out_s.size(),
                    "dequant n=" + std::to_string(n));
+  }
+}
+
+// --- gemv_narrow: the register-blocked narrow-output kernel ----------------
+
+/// The NaN that inf * 0 produces on this hardware. Using it as the only NaN
+/// input keeps every NaN in a sum bit-identical whichever operand the
+/// hardware propagates, so NaN lanes can be compared bitwise.
+float DefaultNaN() {
+  volatile float zero = 0.0f;
+  return zero * std::numeric_limits<float>::infinity();
+}
+
+/// Sets each entry to edge[e] with probability per_mille[e] / 1000, else to
+/// Uniform(-2, 2).
+template <size_t kCount>
+void FillEdgeMix(float* p, size_t n, const float (&edge)[kCount],
+                 const int (&per_mille)[kCount], util::Rng* rng) {
+  for (size_t i = 0; i < n; ++i) {
+    int roll = rng->UniformInt(0, 999);
+    p[i] = static_cast<float>(rng->Uniform(-2.0, 2.0));
+    for (size_t e = 0; e < kCount; ++e) {
+      if (roll < per_mille[e]) {
+        p[i] = edge[e];
+        break;
+      }
+      roll -= per_mille[e];
+    }
+  }
+}
+
+/// Activations: half zeros of both signs (the skipped entries, as after a
+/// ReLU), denormals and large magnitudes.
+void FillActivations(float* p, size_t n, util::Rng* rng) {
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  const float edge[] = {0.0f, -0.0f, kDenorm * 3, -1e-40f, 1e30f, -1e20f};
+  const int per_mille[] = {400, 100, 40, 40, 40, 40};
+  FillEdgeMix(p, n, edge, per_mille, rng);
+}
+
+/// Weights: signed zeros, denormals, magnitudes that overflow against the
+/// large activations, infinities (which a skipped zero activation must never
+/// multiply: 0 * inf is NaN) and NaN. Rare enough that at k = 256 over
+/// 40% of the output columns stay finite.
+void FillWeights(float* p, size_t n, util::Rng* rng) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  const float edge[] = {0.0f,  -0.0f, kDenorm, -2e-39f,
+                        3e38f, kInf,  -kInf,   DefaultNaN()};
+  const int per_mille[] = {50, 50, 30, 30, 5, 2, 2, 1};
+  FillEdgeMix(p, n, edge, per_mille, rng);
+}
+
+/// The pre-slot composition gemv_narrow replaces: zero-fill, then one axpy
+/// per nonzero activation.
+void AxpyRow(const simd::Kernels& K, const float* a, const float* b, int k,
+             int n, float* out) {
+  for (int j = 0; j < n; ++j) out[j] = 0.0f;
+  for (int kk = 0; kk < k; ++kk) {
+    if (a[kk] != 0.0f) K.axpy(a[kk], b + static_cast<size_t>(kk) * n, out, n);
+  }
+}
+
+std::vector<simd::Tier> SupportedTiers() {
+  std::vector<simd::Tier> tiers;
+  for (const simd::Tier t :
+       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kNeon}) {
+    if (simd::TierSupported(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+TEST(SimdGemvNarrowTest, BitwiseMatchesScalarReferenceOnEveryTier) {
+  const simd::Kernels& sca = simd::KernelsFor(simd::Tier::kScalar);
+  const float nan = DefaultNaN();
+  util::Rng rng(17);
+  for (const int n : {1, 2, 7, 8, 9, 15, 16, 17, 24, 25, 30, 31, 32}) {
+    for (const int k : {1, 63, 256}) {
+      // Variant 0 keeps NaN out of the activations (a NaN activation turns
+      // its whole output row NaN); variant 1 plants one.
+      for (int variant = 0; variant < 2; ++variant) {
+        std::vector<float> a(static_cast<size_t>(k));
+        std::vector<float> b(static_cast<size_t>(k) * n);
+        FillActivations(a.data(), a.size(), &rng);
+        FillWeights(b.data(), b.size(), &rng);
+        if (variant == 1) a[static_cast<size_t>(k / 2)] = nan;
+        const std::string what = "n=" + std::to_string(n) +
+                                 " k=" + std::to_string(k) +
+                                 " variant=" + std::to_string(variant);
+        // Poisoned outputs: the slot must overwrite every column.
+        std::vector<float> ref(static_cast<size_t>(n), nan);
+        sca.gemv_narrow(a.data(), b.data(), k, n, ref.data());
+        for (const simd::Tier tier : SupportedTiers()) {
+          const simd::Kernels& K = simd::KernelsFor(tier);
+          const std::string where = what + " tier=" + simd::TierName(tier);
+          std::vector<float> out(static_cast<size_t>(n), nan);
+          K.gemv_narrow(a.data(), b.data(), k, n, out.data());
+          ExpectBitEqual(ref.data(), out.data(), ref.size(),
+                         "gemv_narrow " + where);
+          std::vector<float> composed(static_cast<size_t>(n), nan);
+          AxpyRow(K, a.data(), b.data(), k, n, composed.data());
+          ExpectBitEqual(composed.data(), out.data(), out.size(),
+                         "gemv_narrow vs axpy " + where);
+        }
+      }
+    }
+  }
+}
+
+/// `count` floats ending exactly at a PROT_NONE page: touching data()[count]
+/// (or anything beyond) faults.
+class GuardedFloats {
+ public:
+  explicit GuardedFloats(size_t count) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t bytes = count * sizeof(float);
+    const size_t data_pages = (bytes + page - 1) / page;
+    size_ = (data_pages + 1) * page;
+    void* base = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    AMS_CHECK(base != MAP_FAILED, "mmap failed");
+    base_ = static_cast<char*>(base);
+    char* guard = base_ + data_pages * page;
+    AMS_CHECK(mprotect(guard, page, PROT_NONE) == 0, "mprotect failed");
+    data_ = reinterpret_cast<float*>(guard - bytes);
+  }
+  ~GuardedFloats() { munmap(base_, size_); }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+
+  float* data() { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  size_t size_ = 0;
+  float* data_ = nullptr;
+};
+
+TEST(SimdGemvNarrowTest, NeverTouchesPastTheWeightsOrTheOutputRow) {
+  // A kernel that loads a full vector past the last weight row, or stores
+  // one past out[n - 1], hits a guard page and crashes this test.
+  const simd::Kernels& sca = simd::KernelsFor(simd::Tier::kScalar);
+  util::Rng rng(19);
+  for (const int n : {1, 7, 31, 32}) {
+    const int k = 63;
+    GuardedFloats a(static_cast<size_t>(k));
+    GuardedFloats b(static_cast<size_t>(k) * n);
+    FillRandom(a.data(), k, &rng);
+    FillRandom(b.data(), k * n, &rng);
+    a.data()[k - 1] = 1.0f;  // the last weight row is always read
+    std::vector<float> ref(static_cast<size_t>(n));
+    sca.gemv_narrow(a.data(), b.data(), k, n, ref.data());
+    for (const simd::Tier tier : SupportedTiers()) {
+      GuardedFloats out(static_cast<size_t>(n));
+      simd::KernelsFor(tier).gemv_narrow(a.data(), b.data(), k, n,
+                                         out.data());
+      ExpectBitEqual(ref.data(), out.data(), ref.size(),
+                     "guarded gemv_narrow n=" + std::to_string(n) +
+                         " tier=" + simd::TierName(tier));
+    }
   }
 }
 
@@ -390,6 +555,23 @@ TEST(SimdDispatchTest, ForceTierSwitchesActiveKernels) {
   EXPECT_EQ(&simd::Active(), &simd::KernelsFor(simd::Tier::kScalar));
   simd::ResetForcedTier();
   EXPECT_TRUE(simd::TierSupported(simd::ActiveTier()));
+}
+
+TEST(SimdDispatchTest, EveryKernelSlotIsFilled) {
+  // Aggregate initialisation silently nulls any slot a tier's table leaves
+  // out, so check every slot of every table this machine can run.
+  using Slot = void (*)();
+  static_assert(sizeof(simd::Kernels) % sizeof(Slot) == 0,
+                "Kernels must hold only function pointers");
+  constexpr size_t kSlots = sizeof(simd::Kernels) / sizeof(Slot);
+  for (const simd::Tier tier : SupportedTiers()) {
+    Slot slots[kSlots];
+    std::memcpy(slots, &simd::KernelsFor(tier), sizeof(slots));
+    for (size_t i = 0; i < kSlots; ++i) {
+      EXPECT_NE(slots[i], nullptr)
+          << simd::TierName(tier) << " kernel slot " << i;
+    }
+  }
 }
 
 TEST(SimdDispatchTest, MatrixStorageIs64ByteAligned) {
