@@ -15,7 +15,7 @@ enum class Tier : int {
 };
 
 /// Widest output row the gemv_narrow slot takes: four 8-lane AVX2
-/// accumulators (eight 4-lane NEON ones) held in registers.
+/// accumulators held in registers.
 constexpr int kNarrowMaxCols = 32;
 
 /// The vectorizable inner loops of the nn substrate, as a function-pointer

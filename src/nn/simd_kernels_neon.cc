@@ -46,56 +46,15 @@ void NeonAxpy4(float v0, float v1, float v2, float v3, const float* b,
   }
 }
 
-// kVecs = n / 4 full vectors plus n % 4 scalar columns, all accumulated in
-// registers across the whole k loop and stored once. NEON has no masked
-// load, so the tail columns use scalar accumulators — the same per-column
-// +0, then += a[kk] * b[kk*n + j] sequence as the vector lanes, and no read
-// past the row's last column. The zero-skip is a branch-free compaction of
-// the nonzero indices, as in the AVX2 kernel.
-template <int kVecs>
-void NeonGemvNarrowVecs(const float* a, const float* b, int k, int n,
-                        float* out) {
-  constexpr int kTail = 4 * kVecs;
-  constexpr int kChunk = 256;
-  const int rem = n - kTail;
-  float32x4_t acc[kVecs > 0 ? kVecs : 1];
-  for (int q = 0; q < kVecs; ++q) acc[q] = vdupq_n_f32(0.0f);
-  float tail[3] = {0.0f, 0.0f, 0.0f};
-  int nonzero[kChunk];
-  for (int k0 = 0; k0 < k; k0 += kChunk) {
-    const int k1 = k - k0 < kChunk ? k : k0 + kChunk;
-    int count = 0;
-    for (int kk = k0; kk < k1; ++kk) {
-      nonzero[count] = kk;
-      count += a[kk] != 0.0f;
-    }
-    for (int t = 0; t < count; ++t) {
-      const int kk = nonzero[t];
-      const float v = a[kk];
-      const float* row = b + static_cast<size_t>(kk) * n;
-      const float32x4_t vv = vdupq_n_f32(v);
-      for (int q = 0; q < kVecs; ++q) {
-        acc[q] = vaddq_f32(acc[q], vmulq_f32(vv, vld1q_f32(row + 4 * q)));
-      }
-      for (int r = 0; r < rem; ++r) tail[r] += v * row[kTail + r];
-    }
-  }
-  for (int q = 0; q < kVecs; ++q) vst1q_f32(out + 4 * q, acc[q]);
-  for (int r = 0; r < rem; ++r) out[kTail + r] = tail[r];
-}
-
+// The parent's per-row path, unchanged: zero-fill, then one NeonAxpy per
+// nonzero a[kk] in ascending kk. A register-blocked NEON kernel waits for
+// an aarch64 toolchain to compile and measure it on.
 void NeonGemvNarrow(const float* a, const float* b, int k, int n,
                     float* out) {
-  switch (n / 4) {
-    case 0: NeonGemvNarrowVecs<0>(a, b, k, n, out); return;
-    case 1: NeonGemvNarrowVecs<1>(a, b, k, n, out); return;
-    case 2: NeonGemvNarrowVecs<2>(a, b, k, n, out); return;
-    case 3: NeonGemvNarrowVecs<3>(a, b, k, n, out); return;
-    case 4: NeonGemvNarrowVecs<4>(a, b, k, n, out); return;
-    case 5: NeonGemvNarrowVecs<5>(a, b, k, n, out); return;
-    case 6: NeonGemvNarrowVecs<6>(a, b, k, n, out); return;
-    case 7: NeonGemvNarrowVecs<7>(a, b, k, n, out); return;
-    case 8: NeonGemvNarrowVecs<8>(a, b, k, n, out); return;
+  for (int j = 0; j < n; ++j) out[j] = 0.0f;
+  for (int kk = 0; kk < k; ++kk) {
+    if (a[kk] == 0.0f) continue;
+    NeonAxpy(a[kk], b + static_cast<size_t>(kk) * n, out, n);
   }
 }
 
