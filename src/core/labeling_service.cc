@@ -65,14 +65,6 @@ RowForm PlaneRowForm(ExecutionMode mode) {
 struct LabelingService::PredictorPool {
   std::mutex mu;
   std::vector<std::unique_ptr<ModelValuePredictor>> clones;  // by worker
-  /// Frozen int8 snapshots (quantized sessions), by worker. Never re-synced:
-  /// a quantized clone cannot track later weight changes (see
-  /// ModelValuePredictor::CloneQuantized), so it is built once and kept.
-  std::vector<std::unique_ptr<ModelValuePredictor>> quantized;
-  /// Calibration rows shared by every worker's quantized build, sampled once
-  /// at first quantized acquisition (guarded by `mu`).
-  std::vector<std::vector<float>> calibration;
-  bool calibration_ready = false;
 
   /// Returns the worker's up-to-date clone, or nullptr when the predictor
   /// does not support cloning (the caller then shares the original, which
@@ -87,29 +79,6 @@ struct LabelingService::PredictorPool {
         clones[static_cast<size_t>(worker)];
     if (slot == nullptr || !slot->SyncWeightsFrom(predictor)) {
       slot = predictor->ClonePredictor();
-    }
-    return slot.get();
-  }
-
-  /// Returns the worker's frozen quantized clone, building it (and the
-  /// shared calibration sample, via `sample_rows`) on first use. Returns
-  /// nullptr when the predictor has no quantized form; the caller then
-  /// falls back to the fp32 clone path.
-  ModelValuePredictor* GetOrCreateQuantized(
-      int worker, ModelValuePredictor* predictor,
-      const std::function<std::vector<std::vector<float>>()>& sample_rows) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (static_cast<size_t>(worker) >= quantized.size()) {
-      quantized.resize(static_cast<size_t>(worker) + 1);
-    }
-    std::unique_ptr<ModelValuePredictor>& slot =
-        quantized[static_cast<size_t>(worker)];
-    if (slot == nullptr) {
-      if (!calibration_ready) {
-        calibration = sample_rows();
-        calibration_ready = true;
-      }
-      slot = predictor->CloneQuantized(calibration);
     }
     return slot.get();
   }
@@ -146,18 +115,9 @@ LabelingService::DecisionState LabelingService::MakeDecisionState(
   if (config_.predictor != nullptr) {
     ModelValuePredictor* clone = nullptr;
     if (clone_predictor) {
-      if (config_.quantized_inference) {
-        // Frozen int8 snapshot per worker; nullptr (no quantized form)
-        // falls through to the fp32 clone path below.
-        clone = predictor_pool_->GetOrCreateQuantized(
-            worker_index, config_.predictor,
-            [this] { return BuildCalibrationRows(); });
-      }
       // Clones live in the session pool, created once per worker and reused
       // across batches.
-      if (clone == nullptr) {
-        clone = predictor_pool_->GetOrCreate(worker_index, config_.predictor);
-      }
+      clone = predictor_pool_->GetOrCreate(worker_index, config_.predictor);
     }
     // Predictors that cannot clone are shared; they must be thread-safe
     // (documented on ModelValuePredictor::ClonePredictor).
@@ -238,49 +198,6 @@ std::unique_ptr<LabelingService::ItemRun> LabelingService::PrepareItem(
     };
   }
   return run;
-}
-
-std::vector<std::vector<float>> LabelingService::BuildCalibrationRows() const {
-  // Enough rows to pin every layer's activation range without making the
-  // calibration forwards noticeable; beyond this, extra rows barely move
-  // the observed maxima.
-  constexpr size_t kMaxRows = 64;
-  const int num_labels = config_.zoo->labels().total_labels();
-  std::vector<std::vector<float>> rows;
-  rows.reserve(kMaxRows);
-  // Every item starts all-zero, so the zero state is always observed.
-  rows.emplace_back(static_cast<size_t>(num_labels), 0.0f);
-  util::Rng rng(util::HashCombine(config_.seed, 0xCA11Bu));
-  if (config_.oracle != nullptr && config_.oracle->num_items() > 0) {
-    // Replay stored outputs on sampled items, snapshotting the label state
-    // after each model that produced something fresh — exactly the
-    // progressive states a serving forward pass sees.
-    const data::Oracle& oracle = *config_.oracle;
-    const int num_models = oracle.num_models();
-    for (int attempt = 0; attempt < 256 && rows.size() < kMaxRows;
-         ++attempt) {
-      const int item = rng.UniformInt(0, oracle.num_items() - 1);
-      LabelingState state(num_labels, num_models);
-      for (int m = 0; m < num_models && rows.size() < kMaxRows; ++m) {
-        const int before = state.num_labels_set();
-        state.ApplyInto(m, oracle.Output(item, m), nullptr);
-        if (state.num_labels_set() != before) rows.push_back(state.Features());
-      }
-    }
-    return rows;
-  }
-  // No oracle: seeded random binary rows across a density sweep, so the
-  // scales cover both sparse early states and denser late ones.
-  const int max_density = std::max(1, num_labels / 8);
-  while (rows.size() < kMaxRows) {
-    const int density = rng.UniformInt(1, max_density);
-    std::vector<float> row(static_cast<size_t>(num_labels), 0.0f);
-    for (const int i : rng.SampleWithoutReplacement(num_labels, density)) {
-      row[static_cast<size_t>(i)] = 1.0f;
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 LabelOutcome LabelingService::RunOne(const WorkItem& item,
@@ -393,10 +310,7 @@ void LabelingService::ItemStepper::AttachTracer(const obs::Tracer* tracer,
   trace_lane_ = lane;
   trace_clock_ = clock;
   if (state_.predictor != nullptr) {
-    const ModelValuePredictor::BackendInfo info =
-        state_.predictor->backend_info();
-    backend_tier_ = info.simd_tier;
-    backend_int8_ = info.int8;
+    backend_tier_ = state_.predictor->backend_info().simd_tier;
   }
 }
 
@@ -468,7 +382,7 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
     if (forward_span.active()) {
       const int rows = static_cast<int>(plane_->batched_rows() - rows_before);
       const int hits = static_cast<int>(plane_->memo_hits() - memo_before);
-      forward_span.set_args(rows, hits, backend_tier_, backend_int8_ ? 1 : 0);
+      forward_span.set_args(rows, hits, backend_tier_);
       tick_stats_.forward_s = forward_span.Close();
       tick_stats_.forward_rows = rows;
       tick_stats_.memo_hits = hits;
@@ -781,12 +695,6 @@ LabelingServiceBuilder& LabelingServiceBuilder::WithBatchedPrediction(
   return *this;
 }
 
-LabelingServiceBuilder& LabelingServiceBuilder::WithQuantizedInference(
-    bool quantized) {
-  config_.quantized_inference = quantized;
-  return *this;
-}
-
 LabelingServiceBuilder& LabelingServiceBuilder::WithWorkers(int workers) {
   config_.workers = workers;
   return *this;
@@ -886,11 +794,6 @@ LabelingService LabelingServiceBuilder::Build() const {
     AMS_CHECK(config.predictor != nullptr,
               "batched prediction coalesces predictor Q-queries; configure "
               "WithPredictor");
-  }
-  if (config.quantized_inference) {
-    AMS_CHECK(config.predictor != nullptr,
-              "quantized inference snapshots the predictor's Q-net; "
-              "configure WithPredictor");
   }
   if (config.workers <= 0) {
     config.workers = util::ThreadPool::DefaultThreads();

@@ -95,7 +95,9 @@ struct WorkEstimate {
 /// result materialization for recall-only paths, and
 /// WithBatchedPrediction(true) lets each SubmitBatch/Run worker co-schedule
 /// its items and batch their Q-queries into one forward pass per event
-/// round. Neither knob changes any outcome — only cost.
+/// round. Neither knob changes any outcome — only cost. Every entry point
+/// runs the same fp32 Q-forward, so outcomes are bitwise identical across
+/// Submit/SubmitBatch/Run, steppers, worker counts and SIMD tiers.
 class LabelingService {
  public:
   using Sink = std::function<void(const WorkItem&, const LabelOutcome&)>;
@@ -125,7 +127,6 @@ class LabelingService {
   ExecutionMode mode() const { return config_.mode; }
   KernelMode kernel_mode() const { return config_.kernel_mode; }
   bool batched_prediction() const { return config_.batch_predictions; }
-  bool quantized_inference() const { return config_.quantized_inference; }
   const ScheduleConstraints& constraints() const {
     return config_.constraints;
   }
@@ -192,7 +193,6 @@ class LabelingService {
     ExecutionMode mode = ExecutionMode::kGreedy;
     KernelMode kernel_mode = KernelMode::kFull;
     bool batch_predictions = false;
-    bool quantized_inference = false;
     int workers = 0;  // <= 0: resolved to hardware concurrency in Build()
     uint64_t seed = 1;
     double recall_target = -1.0;
@@ -225,12 +225,6 @@ class LabelingService {
                                        DecisionState* state,
                                        uint64_t stream_id,
                                        DecisionPlane::Slot* slot) const;
-
-  /// Sampled state-feature rows for int8 calibration: the all-zero row plus
-  /// progressive label-states replayed from stored oracle outputs (or a
-  /// seeded density sweep of random binary rows without an oracle), so the
-  /// per-layer activation scales see the input distribution serving will.
-  std::vector<std::vector<float>> BuildCalibrationRows() const;
 
   /// Labels one item with the given decision state. `stream_id` seeds the
   /// random-packing mode (the stored item id, or the submission sequence
@@ -340,14 +334,12 @@ class LabelingService::ItemStepper {
   std::vector<Completion> pending_;
   std::vector<DecisionPlane::SlotView> views_;  // Tick scratch
   uint64_t next_ticket_ = 0;
-  /// Tracing seam (AttachTracer): null until attached. The backend args for
-  /// kForward spans are resolved once at attach time — steppers serve from
-  /// a frozen predictor clone, so tier/int8 cannot change afterwards.
+  /// Tracing seam (AttachTracer): null until attached. The SIMD tier for
+  /// kForward spans is resolved once at attach time.
   const obs::Tracer* tracer_ = nullptr;
   obs::TraceBuffer* trace_lane_ = nullptr;
   const util::Clock* trace_clock_ = nullptr;
   int backend_tier_ = -1;
-  bool backend_int8_ = false;
   TickStats tick_stats_;
 };
 
@@ -393,15 +385,6 @@ class LabelingServiceBuilder {
   /// batched forward pass per event round (predictor-driven sessions only;
   /// outcomes are bitwise identical to the scalar path).
   LabelingServiceBuilder& WithBatchedPrediction(bool batch);
-  /// Serves each worker's pooled clone as a FROZEN int8-quantized snapshot
-  /// of the predictor (ModelValuePredictor::CloneQuantized), calibrated
-  /// against sampled state rows at first use. Quantized clones trade exact
-  /// Q values for throughput: action ranking — hence recall — stays within
-  /// tolerance, but outcomes are no longer bitwise identical to fp32, and
-  /// later predictor weight changes are NOT picked up (the snapshot is
-  /// frozen). Falls back to fp32 clones when the predictor has no quantized
-  /// form. Needs WithPredictor.
-  LabelingServiceBuilder& WithQuantizedInference(bool quantized);
   /// Worker threads for SubmitBatch/Run; <= 0 means hardware concurrency.
   LabelingServiceBuilder& WithWorkers(int workers);
   LabelingServiceBuilder& WithSeed(uint64_t seed);

@@ -41,12 +41,6 @@ std::vector<float> QValueNet::Predict1(const std::vector<float>& x) {
   return std::vector<float>(q.Row(0), q.Row(0) + q.cols());
 }
 
-std::unique_ptr<QValueNet> QValueNet::Quantize(
-    const std::vector<std::vector<float>>& calibration_rows) {
-  (void)calibration_rows;
-  return nullptr;  // no quantized form for this architecture
-}
-
 size_t QValueNet::NumParams() {
   std::vector<ParamGrad> params;
   CollectWeights(&params);

@@ -88,10 +88,7 @@ struct ServeOptions {
 ///
 /// Per-item outcomes are identical to Submit() on the same session: items
 /// are independent and the batched Q-path is bitwise identical to scalar,
-/// so multiplexing changes scheduling cost, never results. (Sessions built
-/// WithQuantizedInference(true) are the one exception: every worker serves
-/// from a frozen int8 snapshot of the Q-net, trading exact Q values for
-/// throughput while keeping recall within tolerance.)
+/// so multiplexing changes scheduling cost, never results.
 ///
 /// Lifecycle: construction spawns the workers; Enqueue() hands back a
 /// future; Drain() waits for all accepted work; Shutdown() (also run by the

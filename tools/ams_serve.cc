@@ -10,7 +10,7 @@
 //             [--slack S] [--class-mix I:S:B] [--starvation-bound K]
 //             [--tenants N] [--quota SPEC]
 //             [--shards N] [--placement hash|least|p2c] [--rebalance S]
-//             [--live] [--quantized]
+//             [--live]
 //             [--deadline S] [--memory GB] [--hidden N] [--seed N]
 //             [--json PATH] [--trace PATH] [--trace-sample N]
 //
@@ -44,11 +44,13 @@
 // view plus the per-shard breakdown. `--live` submits each request as a
 // WorkItem::Live over the corpus scene instead of a stored item id —
 // exercising the live execution path (live requests have no stable
-// identity, so hash placement keys them by arrival order). `--quantized`
-// serves every worker's pooled predictor clone as a frozen int8 snapshot
-// (LabelingServiceBuilder::WithQuantizedInference): Q values move within
-// quantization tolerance, so served outcomes are no longer bit-identical to
-// the fp32 run, but action ranking — hence recall — holds.
+// identity, so hash placement keys them by arrival order).
+//
+// Numeric flags are range-checked before anything is built: a count that
+// must be positive (--items, --requests, --queue-cap, --resident, --hidden),
+// a negative or non-finite --rate, or a negative or NaN --deadline/--memory/
+// --slack prints usage and exits 2. Non-numeric text reads as 0 and is
+// rejected the same way wherever 0 is out of range.
 //
 // Examples:
 //   ams_serve --rate 2000 --workers 4 --slack 0.05
@@ -123,7 +125,6 @@ struct Options {
   std::string placement = "hash";  // hash | least | p2c
   double rebalance_s = 0.0;  // > 0 starts the router's rebalance tick
   bool live = false;      // submit WorkItem::Live scenes, not stored ids
-  bool quantized = false; // serve frozen int8 predictor snapshots
   double deadline = 1.0;  // per-item scheduling time budget (simulated)
   double memory_gb = 8.0; // per-item memory budget (Algorithm 2)
   int hidden = 256;
@@ -143,7 +144,7 @@ struct Options {
       "          [--starvation-bound K] [--tenants N]\n"
       "          [--quota queued=N,inflight=N,rate=R,burst=B]\n"
       "          [--shards N] [--placement hash|least|p2c] [--rebalance S]\n"
-      "          [--live] [--quantized] [--deadline S] [--memory GB]\n"
+      "          [--live] [--deadline S] [--memory GB]\n"
       "          [--hidden N] [--seed N] [--json PATH]\n"
       "          [--trace PATH] [--trace-sample N]\n",
       argv0);
@@ -193,8 +194,6 @@ Options Parse(int argc, char** argv) {
       opts.rebalance_s = std::atof(next());
     } else if (!std::strcmp(argv[i], "--live")) {
       opts.live = true;
-    } else if (!std::strcmp(argv[i], "--quantized")) {
-      opts.quantized = true;
     } else if (!std::strcmp(argv[i], "--deadline")) {
       opts.deadline = std::atof(next());
     } else if (!std::strcmp(argv[i], "--memory")) {
@@ -210,13 +209,26 @@ Options Parse(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--trace-sample")) {
       opts.trace_sample = std::atoi(next());
     } else {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       Usage(argv[0]);
     }
   }
-  if (opts.trace_sample < 1) {
-    std::fprintf(stderr, "--trace-sample must be >= 1\n");
+  const auto require = [&](bool ok, const char* message) {
+    if (ok) return;
+    std::fprintf(stderr, "%s\n", message);
     Usage(argv[0]);
-  }
+  };
+  require(opts.items >= 1, "--items must be >= 1");
+  require(opts.requests >= 1, "--requests must be >= 1");
+  require(std::isfinite(opts.rate) && opts.rate >= 0.0,
+          "--rate must be a finite number >= 0");
+  require(opts.queue_cap >= 1, "--queue-cap must be >= 1");
+  require(opts.resident >= 1, "--resident must be >= 1");
+  require(opts.slack_s >= 0.0, "--slack must be a number >= 0");
+  require(opts.deadline >= 0.0, "--deadline must be a number >= 0");
+  require(opts.memory_gb >= 0.0, "--memory must be a number >= 0");
+  require(opts.hidden >= 1, "--hidden must be >= 1");
+  require(opts.trace_sample >= 1, "--trace-sample must be >= 1");
   if (opts.overload != "block" && opts.overload != "reject" &&
       opts.overload != "shed") {
     std::fprintf(stderr, "unknown overload policy: %s\n",
@@ -235,24 +247,15 @@ Options Parse(int argc, char** argv) {
                  opts.order.c_str());
     Usage(argv[0]);
   }
-  if (opts.tenants < 1) {
-    std::fprintf(stderr, "--tenants must be >= 1\n");
-    Usage(argv[0]);
-  }
-  if (opts.shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    Usage(argv[0]);
-  }
+  require(opts.tenants >= 1, "--tenants must be >= 1");
+  require(opts.shards >= 1, "--shards must be >= 1");
   if (opts.placement != "hash" && opts.placement != "least" &&
       opts.placement != "p2c") {
     std::fprintf(stderr, "unknown --placement (want hash|least|p2c): %s\n",
                  opts.placement.c_str());
     Usage(argv[0]);
   }
-  if (opts.rebalance_s < 0.0) {
-    std::fprintf(stderr, "--rebalance must be >= 0\n");
-    Usage(argv[0]);
-  }
+  require(opts.rebalance_s >= 0.0, "--rebalance must be a number >= 0");
   return opts;
 }
 
@@ -383,7 +386,6 @@ int main(int argc, char** argv) {
                            .WithMode(core::ExecutionMode::kParallel)
                            .WithConstraints(constraints)
                            .WithKernelMode(core::KernelMode::kLean)
-                           .WithQuantizedInference(opts.quantized)
                            .WithWorkers(per_shard_workers)
                            .WithSeed(opts.seed + static_cast<uint64_t>(s))
                            .Build());
@@ -436,7 +438,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serving %d %srequests (rate %s/s, %d workers, queue %d, overload %s, "
-      "order %s, slack %s, mix %s, %d tenant%s%s%s)...\n",
+      "order %s, slack %s, mix %s, %d tenant%s%s)...\n",
       opts.requests, opts.live ? "live " : "",
       opts.rate > 0.0 ? util::FormatDouble(opts.rate, 0).c_str() : "inf",
       worker_count, opts.queue_cap, opts.overload.c_str(),
@@ -445,8 +447,7 @@ int main(int argc, char** argv) {
                          : "inf",
       opts.class_mix.empty() ? "standard-only" : opts.class_mix.c_str(),
       opts.tenants, opts.tenants == 1 ? "" : "s",
-      opts.quota.empty() ? "" : ", quota-limited",
-      opts.quantized ? ", int8 predictor" : "");
+      opts.quota.empty() ? "" : ", quota-limited");
   if (router != nullptr) {
     std::printf("routing over %d shards (%s placement, rebalance %s)\n",
                 opts.shards, opts.placement.c_str(),
