@@ -84,19 +84,39 @@ struct LabelingService::PredictorPool {
   }
 };
 
-/// One item's prepared kernel run. Heap-allocated and never moved, so the
-/// hook lambdas can capture raw pointers to `acc` and `adapter`.
+/// One item's prepared kernel run. Pooled in DecisionState::idle_runs and
+/// never moved while in use, so the kernel can point at the run's execution
+/// context and its hook can capture the run pointer alone (small enough for
+/// std::function's inline storage: no heap block per item).
 struct LabelingService::ItemRun {
-  std::unique_ptr<ExecutionContext> owned_exec;
-  const ExecutionContext* exec = nullptr;
-  std::optional<ValueAccumulator> acc;
-  std::unique_ptr<sched::PolicyAdapter> adapter;
-  ModelPicker picker;
-  KernelHooks hooks;
+  // The item's execution context, held by value: replay for stored items,
+  // live for scenes (its output buffer is reused across the run's items).
+  std::optional<ReplayExecutionContext> replay;
+  std::optional<LiveExecutionContext> live;
+  std::optional<sched::PolicyAdapter> adapter;  // policy sessions only
+  /// Built for the run's first item, re-targeted by Reset afterwards.
+  std::optional<ScheduleKernel> kernel;
+  DecisionPlane::Slot* slot = nullptr;  // predictor sessions only
+  /// Stored items only: the value ledger, i.e. the kernel's per-execution
+  /// gains summed in finish order (ValueAccumulator::AddModel's arithmetic,
+  /// so recall is bitwise what an accumulator replay reports), and f(M, d).
+  bool stored = false;
+  double value = 0.0;
+  double total_value = 0.0;
+  double recall_target = -1.0;
   /// True when the recall target was met before any execution (e.g. an item
-  /// with no valuable labels): nothing to schedule, `outcome` is final.
+  /// with no valuable labels): nothing to schedule.
   bool skipped = false;
-  LabelOutcome outcome;
+
+  double Recall() const { return ValueRecall(value, total_value); }
+
+  /// The kernel hook: books the execution's gain, tells the policy, and
+  /// stops the item once its recall target is met.
+  bool OnExecuted(const ExecutionRecord& record) {
+    value += record.gain;
+    if (adapter.has_value()) adapter->NotifyExecuted(record);
+    return stored && RecallTargetReached(Recall(), recall_target);
+  }
 };
 
 LabelingService::LabelingService(Config config) : config_(std::move(config)) {
@@ -105,8 +125,13 @@ LabelingService::LabelingService(Config config) : config_(std::move(config)) {
   }
 }
 
+LabelingService::LabelingService(LabelingService&&) noexcept = default;
+LabelingService& LabelingService::operator=(LabelingService&&) noexcept =
+    default;
+LabelingService::~LabelingService() = default;
+
 LabelingService::DecisionState LabelingService::MakeDecisionState(
-    bool clone_predictor, int worker_index) const {
+    bool clone_predictor, int worker_index, bool memoize_rows) const {
   DecisionState state;
   if (config_.policy_factory != nullptr) {
     state.policy = config_.policy_factory(worker_index);
@@ -122,35 +147,53 @@ LabelingService::DecisionState LabelingService::MakeDecisionState(
     // Predictors that cannot clone are shared; they must be thread-safe
     // (documented on ModelValuePredictor::ClonePredictor).
     state.predictor = clone != nullptr ? clone : config_.predictor;
+    state.plane = std::make_unique<DecisionPlane>(
+        state.predictor, memoize_rows, PlaneRowForm(config_.mode));
   }
   return state;
 }
 
 std::unique_ptr<LabelingService::ItemRun> LabelingService::PrepareItem(
-    const WorkItem& item, DecisionState* state, uint64_t stream_id,
-    DecisionPlane::Slot* slot) const {
+    const WorkItem& item, DecisionState* state, uint64_t stream_id) const {
   const bool stored = item.item >= 0;
   AMS_CHECK(stored || item.scene != nullptr,
             "WorkItem needs a scene or a stored item id");
   AMS_CHECK(!stored || config_.oracle != nullptr,
             "stored items need an oracle-backed session (WithOracle)");
 
-  auto run = std::make_unique<ItemRun>();
-  if (stored) {
-    run->owned_exec =
-        std::make_unique<ReplayExecutionContext>(config_.oracle, item.item);
-    run->exec = run->owned_exec.get();
-    run->acc.emplace(config_.oracle, item.item);
+  std::unique_ptr<ItemRun> run;
+  if (state->idle_runs.empty()) {
+    run = std::make_unique<ItemRun>();
   } else {
-    run->owned_exec =
-        std::make_unique<LiveExecutionContext>(config_.zoo, item.scene);
-    run->exec = run->owned_exec.get();
+    run = std::move(state->idle_runs.back());
+    state->idle_runs.pop_back();
   }
+  const ExecutionContext* exec = nullptr;
+  run->stored = stored;
+  run->value = 0.0;
+  run->recall_target = config_.recall_target;
+  if (stored) {
+    run->replay.emplace(config_.oracle, item.item);
+    run->total_value = config_.oracle->TrueTotalValue(item.item);
+    exec = &*run->replay;
+  } else {
+    if (run->live.has_value()) {
+      run->live->set_scene(item.scene);
+    } else {
+      run->live.emplace(config_.zoo, item.scene);
+    }
+    run->total_value = 0.0;
+    exec = &*run->live;
+  }
+  run->adapter.reset();
+  DecisionPlane::Slot* slot =
+      state->plane != nullptr ? state->plane->NewSlot() : nullptr;
+  run->slot = slot;
 
+  ModelPicker picker;
   switch (config_.mode) {
     case ExecutionMode::kGreedy:
-      run->picker = slot != nullptr ? MakeGreedyPicker(slot)
-                                    : MakeGreedyPicker(state->predictor);
+      picker = MakeGreedyPicker(slot);
       break;
     case ExecutionMode::kSerial:
       if (state->policy != nullptr) {
@@ -159,58 +202,66 @@ std::unique_ptr<LabelingService::ItemRun> LabelingService::PrepareItem(
         ctx.zoo = config_.zoo;
         ctx.item = item.item;
         ctx.chunk_id = item.chunk_id;
-        run->adapter =
-            std::make_unique<sched::PolicyAdapter>(state->policy.get(), ctx);
-        run->picker = run->adapter->Picker();
+        run->adapter.emplace(state->policy.get(), ctx);
+        picker = run->adapter->Picker();
       } else {
-        run->picker = slot != nullptr ? MakeDeadlinePicker(slot)
-                                      : MakeDeadlinePicker(state->predictor);
+        picker = MakeDeadlinePicker(slot);
       }
       break;
     case ExecutionMode::kParallel:
-      run->picker = slot != nullptr
-                        ? MakeDeadlineMemoryPicker(slot)
-                        : MakeDeadlineMemoryPicker(state->predictor);
+      picker = MakeDeadlineMemoryPicker(slot);
       break;
     case ExecutionMode::kParallelRandom:
-      run->picker = MakeRandomPackingPicker(
+      picker = MakeRandomPackingPicker(
           util::HashCombine(config_.seed, 0x9A7Au + stream_id));
       break;
   }
 
   // Items whose target is met before any execution (e.g. no valuable labels
   // at all) schedule nothing.
-  ValueAccumulator* acc = run->acc.has_value() ? &*run->acc : nullptr;
-  const double target = config_.recall_target;
-  if (acc != nullptr && RecallTargetReached(*acc, target)) {
-    run->outcome.recall = acc->Recall();
-    run->skipped = true;
-    return run;
-  }
-  sched::PolicyAdapter* adapter = run->adapter.get();
-  if (acc != nullptr || adapter != nullptr) {
-    run->hooks.on_executed = [acc, adapter, target](
-                                 const ExecutionRecord& record,
-                                 const LabelingState&) {
-      if (acc != nullptr) acc->AddModel(record.model_id);
-      if (adapter != nullptr) adapter->NotifyExecuted(record);
-      return acc != nullptr && RecallTargetReached(*acc, target);
+  run->skipped =
+      stored && RecallTargetReached(run->Recall(), run->recall_target);
+  if (run->skipped) return run;
+  KernelHooks hooks;
+  if (stored || run->adapter.has_value()) {
+    ItemRun* self = run.get();
+    hooks.on_executed = [self](const ExecutionRecord& record,
+                               const LabelingState&) {
+      return self->OnExecuted(record);
     };
   }
+  if (run->kernel.has_value()) {
+    run->kernel->Reset(exec, config_.constraints, std::move(picker),
+                       std::move(hooks));
+  } else {
+    run->kernel.emplace(exec, config_.constraints, std::move(picker),
+                        std::move(hooks), config_.kernel_mode);
+  }
   return run;
+}
+
+LabelOutcome LabelingService::FinishRun(std::unique_ptr<ItemRun> run,
+                                        DecisionState* state) {
+  LabelOutcome outcome;
+  if (!run->skipped) outcome.schedule = run->kernel->TakeResult();
+  if (run->stored) outcome.recall = run->Recall();
+  if (run->slot != nullptr) {
+    state->plane->ReleaseSlot(run->slot);
+    run->slot = nullptr;
+  }
+  state->idle_runs.push_back(std::move(run));
+  return outcome;
 }
 
 LabelOutcome LabelingService::RunOne(const WorkItem& item,
                                      DecisionState* state,
                                      uint64_t stream_id) const {
-  std::unique_ptr<ItemRun> run =
-      PrepareItem(item, state, stream_id, /*slot=*/nullptr);
-  if (run->skipped) return std::move(run->outcome);
-  run->outcome.schedule = RunScheduleKernel(
-      *run->exec, config_.constraints, run->picker, run->hooks,
-      config_.kernel_mode);
-  if (run->acc.has_value()) run->outcome.recall = run->acc->Recall();
-  return std::move(run->outcome);
+  std::unique_ptr<ItemRun> run = PrepareItem(item, state, stream_id);
+  if (!run->skipped) {
+    while (run->kernel->Step()) {
+    }
+  }
+  return FinishRun(std::move(run), state);
 }
 
 void LabelingService::RunCoScheduled(
@@ -219,7 +270,7 @@ void LabelingService::RunCoScheduled(
     const std::vector<LabelOutcome*>& outcomes, DecisionState* state) const {
   const size_t n = items.size();
   AMS_CHECK(stream_ids.size() == n && outcomes.size() == n);
-  AMS_CHECK(state->predictor != nullptr,
+  AMS_CHECK(state->plane != nullptr,
             "co-scheduling batches predictor Q-queries");
 
   // Items co-scheduled at once. Large enough to amortize a forward pass,
@@ -228,30 +279,20 @@ void LabelingService::RunCoScheduled(
   // block measurably thrashes once hundreds of items cycle per round.
   constexpr size_t kWaveSize = 16;
 
-  // The plane's own arena holds its batch scratch, rewound every event
+  // The worker's plane (no row memo) resets its own arena every event
   // round, so rounds re-use one warm block. Finished and skipped items hand
-  // their slot back, so the plane holds one wave of slots however large the
-  // batch.
-  DecisionPlane plane(state->predictor, /*memoize_rows=*/false,
-                      PlaneRowForm(config_.mode));
+  // their run and slot back to the worker's pool, so one wave's worth of
+  // runs serves the whole batch.
+  DecisionPlane& plane = *state->plane;
   std::vector<DecisionPlane::SlotView> views;
+  std::vector<std::unique_ptr<ItemRun>> runs;  // the wave; null once done
   for (size_t wave_begin = 0; wave_begin < n; wave_begin += kWaveSize) {
     const size_t wave = std::min(kWaveSize, n - wave_begin);
-    std::vector<std::unique_ptr<ItemRun>> runs(wave);
-    std::vector<DecisionPlane::Slot*> slots(wave);
-    std::vector<std::unique_ptr<ScheduleKernel>> kernels(wave);
+    runs.clear();
     for (size_t i = 0; i < wave; ++i) {
       const size_t k = wave_begin + i;
-      slots[i] = plane.NewSlot();
-      runs[i] = PrepareItem(*items[k], state, stream_ids[k], slots[i]);
-      if (runs[i]->skipped) {
-        *outcomes[k] = std::move(runs[i]->outcome);
-        plane.ReleaseSlot(slots[i]);
-        continue;
-      }
-      kernels[i] = std::make_unique<ScheduleKernel>(
-          runs[i]->exec, config_.constraints, runs[i]->picker, runs[i]->hooks,
-          config_.kernel_mode);
+      runs.push_back(PrepareItem(*items[k], state, stream_ids[k]));
+      if (runs[i]->skipped) *outcomes[k] = FinishRun(std::move(runs[i]), state);
     }
 
     // Event-round lockstep: refresh every picking kernel's Q-slot with ONE
@@ -260,25 +301,19 @@ void LabelingService::RunCoScheduled(
     // outcome — only how many forward passes the round costs.
     for (bool any_live = true; any_live;) {
       views.clear();
-      for (size_t i = 0; i < wave; ++i) {
-        if (kernels[i] != nullptr && kernels[i]->picking()) {
-          views.push_back({slots[i], &kernels[i]->state()});
+      for (const std::unique_ptr<ItemRun>& run : runs) {
+        if (run != nullptr && run->kernel->picking()) {
+          views.push_back({run->slot, &run->kernel->state()});
         }
       }
       plane.Prefetch(views);
       any_live = false;
       for (size_t i = 0; i < wave; ++i) {
-        if (kernels[i] == nullptr) continue;
-        if (kernels[i]->Step()) {
+        if (runs[i] == nullptr) continue;
+        if (runs[i]->kernel->Step()) {
           any_live = true;
         } else {
-          runs[i]->outcome.schedule = kernels[i]->TakeResult();
-          if (runs[i]->acc.has_value()) {
-            runs[i]->outcome.recall = runs[i]->acc->Recall();
-          }
-          *outcomes[wave_begin + i] = std::move(runs[i]->outcome);
-          kernels[i].reset();
-          plane.ReleaseSlot(slots[i]);
+          *outcomes[wave_begin + i] = FinishRun(std::move(runs[i]), state);
         }
       }
     }
@@ -288,17 +323,14 @@ void LabelingService::RunCoScheduled(
 LabelingService::ItemStepper::ItemStepper(const LabelingService* session,
                                           int worker_index)
     : session_(session),
+      // Steppers live for the serving runtime's lifetime over a frozen
+      // predictor clone, the regime the plane's row memo exists for: at
+      // steady state most decision points are served without a forward
+      // pass.
       state_(session->MakeDecisionState(/*clone_predictor=*/true,
-                                        worker_index)) {
-  if (state_.predictor != nullptr) {
-    // Steppers live for the serving runtime's lifetime over a frozen
-    // predictor clone, the regime the plane's row memo exists for: at
-    // steady state most decision points are served without a forward pass.
-    plane_ = std::make_unique<DecisionPlane>(
-        state_.predictor, /*memoize_rows=*/true,
-        PlaneRowForm(session_->config_.mode));
-    plane_->AttachArena(&arena_);
-  }
+                                        worker_index,
+                                        /*memoize_rows=*/true)) {
+  if (state_.plane != nullptr) state_.plane->AttachArena(&arena_);
 }
 
 LabelingService::ItemStepper::~ItemStepper() = default;
@@ -317,24 +349,18 @@ void LabelingService::ItemStepper::AttachTracer(const obs::Tracer* tracer,
 uint64_t LabelingService::ItemStepper::Admit(const WorkItem& item,
                                              uint64_t stream_id) {
   const uint64_t ticket = next_ticket_++;
-  DecisionPlane::Slot* slot = plane_ != nullptr ? plane_->NewSlot() : nullptr;
   std::unique_ptr<ItemRun> run =
-      session_->PrepareItem(item, &state_, stream_id, slot);
+      session_->PrepareItem(item, &state_, stream_id);
   if (run->skipped) {
-    if (slot != nullptr) plane_->ReleaseSlot(slot);
     Completion done;
     done.ticket = ticket;
-    done.outcome = std::move(run->outcome);
+    done.outcome = FinishRun(std::move(run), &state_);
     pending_.push_back(std::move(done));
     return ticket;
   }
   InFlight flight;
   flight.ticket = ticket;
-  flight.kernel = std::make_unique<ScheduleKernel>(
-      run->exec, session_->config_.constraints, run->picker, run->hooks,
-      session_->config_.kernel_mode);
   flight.run = std::move(run);
-  flight.slot = slot;
   inflight_.push_back(std::move(flight));
   return ticket;
 }
@@ -366,22 +392,23 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
   // to start) skip the Q refresh entirely. The forward span and TickStats
   // read the plane's counters around the call; untraced, the span is
   // inactive and costs one branch.
-  if (plane_ != nullptr) {
+  DecisionPlane* plane = state_.plane.get();
+  if (plane != nullptr) {
     views_.clear();
     for (const InFlight& flight : inflight_) {
-      if (flight.kernel->picking()) {
-        views_.push_back({flight.slot, &flight.kernel->state()});
+      if (flight.run->kernel->picking()) {
+        views_.push_back({flight.run->slot, &flight.run->kernel->state()});
       }
     }
     obs::ScopedSpan forward_span(
         tick_span.active() && !views_.empty() ? tracer_ : nullptr,
         trace_lane_, trace_clock_, obs::Phase::kForward);
-    const long rows_before = plane_->batched_rows();
-    const long memo_before = plane_->memo_hits();
-    plane_->Prefetch(views_);
+    const long rows_before = plane->batched_rows();
+    const long memo_before = plane->memo_hits();
+    plane->Prefetch(views_);
     if (forward_span.active()) {
-      const int rows = static_cast<int>(plane_->batched_rows() - rows_before);
-      const int hits = static_cast<int>(plane_->memo_hits() - memo_before);
+      const int rows = static_cast<int>(plane->batched_rows() - rows_before);
+      const int hits = static_cast<int>(plane->memo_hits() - memo_before);
       forward_span.set_args(rows, hits, backend_tier_);
       tick_stats_.forward_s = forward_span.Close();
       tick_stats_.forward_rows = rows;
@@ -394,19 +421,15 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
   size_t live = 0;
   for (size_t i = 0; i < inflight_.size(); ++i) {
     InFlight& flight = inflight_[i];
-    if (flight.kernel->Step()) {
+    if (flight.run->kernel->Step()) {
       if (live != i) inflight_[live] = std::move(flight);
       ++live;
       continue;
     }
     Completion done;
     done.ticket = flight.ticket;
-    done.outcome.schedule = flight.kernel->TakeResult();
-    if (flight.run->acc.has_value()) {
-      done.outcome.recall = flight.run->acc->Recall();
-    }
+    done.outcome = FinishRun(std::move(flight.run), &state_);
     completed->push_back(std::move(done));
-    if (flight.slot != nullptr) plane_->ReleaseSlot(flight.slot);
   }
   inflight_.resize(live);
   FinishTickSpan(&tick_span, resident_at_entry,
@@ -441,8 +464,8 @@ std::unique_ptr<LabelingService::ItemStepper> LabelingService::NewItemStepper(
 
 LabelOutcome LabelingService::Submit(const WorkItem& item) {
   if (!session_state_ready_) {
-    session_state_ =
-        MakeDecisionState(/*clone_predictor=*/false, /*worker_index=*/0);
+    session_state_ = MakeDecisionState(
+        /*clone_predictor=*/false, /*worker_index=*/0, /*memoize_rows=*/false);
     session_state_ready_ = true;
   }
   const uint64_t stream_id = item.item >= 0
@@ -504,8 +527,8 @@ WorkEstimate LabelingService::EstimateWork(const WorkItem& item) const {
 
 sched::SchedulingPolicy* LabelingService::session_policy() {
   if (!session_state_ready_) {
-    session_state_ =
-        MakeDecisionState(/*clone_predictor=*/false, /*worker_index=*/0);
+    session_state_ = MakeDecisionState(
+        /*clone_predictor=*/false, /*worker_index=*/0, /*memoize_rows=*/false);
     session_state_ready_ = true;
   }
   sched::SchedulingPolicy* policy = session_state_.policy.get();
@@ -571,8 +594,8 @@ std::vector<LabelOutcome> LabelingService::SubmitBatch(
 
   const auto run_block = [&](const std::pair<size_t, size_t>& block,
                              int worker_index) {
-    DecisionState state =
-        MakeDecisionState(/*clone_predictor=*/true, worker_index);
+    DecisionState state = MakeDecisionState(
+        /*clone_predictor=*/true, worker_index, /*memoize_rows=*/false);
     // Policies are stateful across a worker's items (chunk-adaptive
     // history), so only predictor-driven sessions may co-schedule.
     const bool coalesce = config_.batch_predictions &&

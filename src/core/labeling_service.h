@@ -57,8 +57,10 @@ struct WorkItem {
 /// Outcome of labeling one item through a session.
 struct LabelOutcome {
   ScheduleResult schedule;
-  /// Value recall against stored ground truth; -1 when the item was live
-  /// (no ground truth to compare against).
+  /// Value recall against stored ground truth: the kernel's per-execution
+  /// gains summed in finish order over f(M, d), bitwise what a
+  /// ValueAccumulator replay of the execution order reports. -1 when the
+  /// item was live (no ground truth to compare against).
   double recall = -1.0;
 };
 
@@ -104,8 +106,9 @@ class LabelingService {
   using PolicyFactory =
       std::function<std::unique_ptr<sched::SchedulingPolicy>()>;
 
-  LabelingService(LabelingService&&) = default;
-  LabelingService& operator=(LabelingService&&) = default;
+  LabelingService(LabelingService&&) noexcept;
+  LabelingService& operator=(LabelingService&&) noexcept;
+  ~LabelingService();
 
   /// Labels one item inline.
   LabelOutcome Submit(const WorkItem& item);
@@ -200,31 +203,47 @@ class LabelingService {
 
   explicit LabelingService(Config config);
 
+  /// Everything one item's kernel run needs — execution context, kernel,
+  /// value ledger — pooled per worker and never moved while in use, so the
+  /// kernel's hook captures only the run pointer (defined in the .cc).
+  struct ItemRun;
+
   // One worker's decision-making state (policies and rl agents are stateful
   // and must not be shared across threads). Predictor clones are owned by
   // the session's PredictorPool, keyed by worker index.
   struct DecisionState {
     ModelValuePredictor* predictor = nullptr;
     std::unique_ptr<sched::SchedulingPolicy> policy;
+    /// Present iff `predictor` is: every picker Q-query of this worker's
+    /// items goes through a slot of this plane.
+    std::unique_ptr<DecisionPlane> plane;
+    /// The worker's idle item runs. Every entry point (Submit, SubmitBatch,
+    /// ItemStepper) draws from here and hands runs back on completion, so
+    /// the pool holds as many runs as the worker ever had in flight and
+    /// admission re-targets a pooled kernel instead of allocating one.
+    std::vector<std::unique_ptr<ItemRun>> idle_runs;
   };
-  DecisionState MakeDecisionState(bool clone_predictor,
-                                  int worker_index) const;
-
-  /// Everything one item's kernel run needs, heap-allocated so the hooks'
-  /// captured pointers stay stable (defined in the .cc).
-  struct ItemRun;
+  /// `memoize_rows` configures the worker's DecisionPlane (see
+  /// DecisionPlane's constructor).
+  DecisionState MakeDecisionState(bool clone_predictor, int worker_index,
+                                  bool memoize_rows) const;
   /// Session-level per-worker predictor clones, reused across SubmitBatch
   /// calls — cloning a Q-net serializes megabytes of weights, far too
   /// expensive to repeat per batch (defined in the .cc).
   struct PredictorPool;
 
-  /// Builds the execution context, picker and hooks for one item. `slot`
-  /// routes the picker's Q-queries through a shared DecisionPlane (batched
-  /// co-scheduling); null keeps a private scalar path.
+  /// Takes a run from the worker's pool (or makes one) and re-targets it at
+  /// `item`: execution context, picker (on a fresh slot of the worker's
+  /// plane), hooks and kernel. A run whose recall target is met before any
+  /// execution comes back `skipped`, its kernel untouched.
   std::unique_ptr<ItemRun> PrepareItem(const WorkItem& item,
                                        DecisionState* state,
-                                       uint64_t stream_id,
-                                       DecisionPlane::Slot* slot) const;
+                                       uint64_t stream_id) const;
+
+  /// Reads a completed (or skipped) run's outcome and returns the run and
+  /// its slot to the worker's pool.
+  static LabelOutcome FinishRun(std::unique_ptr<ItemRun> run,
+                                DecisionState* state);
 
   /// Labels one item with the given decision state. `stream_id` seeds the
   /// random-packing mode (the stored item id, or the submission sequence
@@ -317,15 +336,12 @@ class LabelingService::ItemStepper {
   struct InFlight {
     uint64_t ticket = 0;
     std::unique_ptr<ItemRun> run;
-    std::unique_ptr<ScheduleKernel> kernel;
-    DecisionPlane::Slot* slot = nullptr;  // owned by plane_
   };
 
   const LabelingService* session_;
+  /// Its plane (predictor-driven sessions) memoizes rows and is the one
+  /// place the per-tick batched forward pass is issued.
   DecisionState state_;
-  /// Present iff the session is predictor-driven: the one place the
-  /// per-tick batched forward pass is issued.
-  std::unique_ptr<DecisionPlane> plane_;
   /// Worker-affine scratch for the plane's per-tick batch buffers, rewound
   /// at the top of every Tick so steady-state ticks never malloc.
   util::Arena arena_;
@@ -376,7 +392,7 @@ class LabelingServiceBuilder {
 
   LabelingServiceBuilder& WithConstraints(const ScheduleConstraints& c);
   LabelingServiceBuilder& WithMode(ExecutionMode mode);
-  /// KernelMode::kLean skips per-execution output copies and the
+  /// KernelMode::kLean skips per-execution records and the
   /// recalled-label map: LabelOutcome keeps makespan, value, execution count
   /// and recall but `schedule.executions`/`recalled_labels` stay empty. The
   /// offline recall-only paths (deadline/memory sweeps) run lean.

@@ -16,9 +16,12 @@ LabelingState::LabelingState(int num_labels, int num_models)
 }
 
 void LabelingState::Reset() {
-  std::fill(labels_.begin(), labels_.end(), 0.0f);
+  // Sparse: exactly the set labels and the executed models are non-zero.
+  for (const int label : set_indices_) {
+    labels_[static_cast<size_t>(label)] = 0.0f;
+  }
   set_indices_.clear();
-  std::fill(executed_.begin(), executed_.end(), false);
+  for (const int model : order_) executed_[static_cast<size_t>(model)] = false;
   order_.clear();
   num_executed_ = 0;
   num_labels_set_ = 0;

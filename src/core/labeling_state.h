@@ -19,7 +19,8 @@ class LabelingState {
  public:
   LabelingState(int num_labels, int num_models);
 
-  /// Clears all bits and the executed-model set.
+  /// Clears all bits and the executed-model set, in O(set labels +
+  /// executed models): only entries the previous run touched are cleared.
   void Reset();
 
   /// Registers the execution of `model_id` with the given raw outputs.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 
 #include "core/reward.h"
@@ -9,6 +10,17 @@
 #include "util/rng.h"
 
 namespace ams::core {
+
+namespace {
+
+// Initial capacity of the per-execution output and fresh-label buffers:
+// twice the most outputs any default-zoo model emits on the dataset
+// profiles (66). A larger execution grows a buffer once and it keeps that
+// capacity, so pooled runs stay allocation-free without reserving the
+// whole label space per run.
+constexpr size_t kOutputsReserve = 128;
+
+}  // namespace
 
 void ScheduleConstraints::Validate() const {
   AMS_CHECK(!std::isnan(time_budget_s) && time_budget_s >= 0.0,
@@ -21,6 +33,7 @@ LiveExecutionContext::LiveExecutionContext(const zoo::ModelZoo* zoo,
                                            const zoo::LatentScene* scene)
     : zoo_(zoo), scene_(scene) {
   AMS_CHECK(zoo != nullptr && scene != nullptr);
+  last_outputs_.reserve(kOutputsReserve);
 }
 
 double LiveExecutionContext::PlannedTime(int model) const {
@@ -33,8 +46,13 @@ double LiveExecutionContext::RealizedTime(int model) const {
 
 const std::vector<zoo::LabelOutput>& LiveExecutionContext::Execute(
     int model) const {
-  last_outputs_ = zoo_->Execute(model, *scene_);
+  zoo_->ExecuteInto(model, *scene_, &last_outputs_);
   return last_outputs_;
+}
+
+void LiveExecutionContext::set_scene(const zoo::LatentScene* scene) {
+  AMS_CHECK(scene != nullptr);
+  scene_ = scene;
 }
 
 ReplayExecutionContext::ReplayExecutionContext(const data::Oracle* oracle,
@@ -61,30 +79,64 @@ ScheduleKernel::ScheduleKernel(const ExecutionContext* exec,
                                const ScheduleConstraints& constraints,
                                ModelPicker picker, KernelHooks hooks,
                                KernelMode mode)
-    : exec_(exec),
-      models_(exec->zoo().models().data()),
-      num_models_(exec->num_models()),
-      constraints_(constraints),
-      picker_(std::move(picker)),
-      hooks_(std::move(hooks)),
+    : num_models_(exec->num_models()),
       mode_(mode),
       state_(exec->zoo().labels().total_labels(), exec->num_models()),
       started_(static_cast<size_t>(exec->num_models()), false),
-      mem_free_(constraints.memory_budget_mb),
+      unstarted_(static_cast<size_t>(exec->num_models())),
+      planned_time_(static_cast<size_t>(exec->num_models())),
       best_conf_(static_cast<size_t>(exec->zoo().labels().total_labels()),
                  0.0) {
-  constraints_.Validate();
-  AMS_CHECK(picker_ != nullptr);
-  // Worst-case capacities up front so steady-state Steps never allocate.
-  touched_labels_.reserve(best_conf_.size());
+  // Capacities up front so steady-state lean Steps never allocate. Full
+  // mode allocates per record anyway; its fresh scratch grows to the
+  // largest execution seen and keeps that capacity across Reset.
   running_.reserve(static_cast<size_t>(num_models_));
-  scratch_record_.fresh.reserve(best_conf_.size());
+  if (mode_ == KernelMode::kLean) {
+    scratch_record_.fresh.reserve(kOutputsReserve);
+  } else {
+    records_.reserve(static_cast<size_t>(num_models_));
+  }
+  Reset(exec, constraints, std::move(picker), std::move(hooks));
+}
+
+void ScheduleKernel::Reset(const ExecutionContext* exec,
+                           const ScheduleConstraints& constraints,
+                           ModelPicker picker, KernelHooks hooks) {
+  AMS_CHECK(exec != nullptr);
+  AMS_CHECK(exec->num_models() == num_models_ &&
+                static_cast<size_t>(exec->zoo().labels().total_labels()) ==
+                    best_conf_.size(),
+            "ScheduleKernel::Reset: the zoo's shape changed");
+  constraints.Validate();
+  AMS_CHECK(picker != nullptr);
+  exec_ = exec;
+  models_ = exec->zoo().models().data();
+  constraints_ = constraints;
+  picker_ = std::move(picker);
+  hooks_ = std::move(hooks);
+
+  // Sparse clears: only what the previous item touched. The credited
+  // labels are exactly the state's set labels (both are the valuable labels
+  // of executed models), so the set-index list clears best_conf_ too.
+  for (const int label : state_.SetIndices()) {
+    best_conf_[static_cast<size_t>(label)] = 0.0;
+  }
+  state_.Reset();
+  running_.clear();
+  records_.clear();
+  result_ = ScheduleResult();
+  std::fill(started_.begin(), started_.end(), false);
   unstarted_.resize(static_cast<size_t>(num_models_));
-  planned_time_.resize(static_cast<size_t>(num_models_));
   for (int m = 0; m < num_models_; ++m) {
     unstarted_[static_cast<size_t>(m)] = m;
     planned_time_[static_cast<size_t>(m)] = exec->PlannedTime(m);
   }
+  mem_free_ = constraints.memory_budget_mb;
+  mem_used_ = 0.0;
+  now_ = 0.0;
+  stopped_ = false;
+  done_ = false;
+  result_taken_ = false;
 }
 
 void ScheduleKernel::StartModels() {
@@ -139,43 +191,39 @@ bool ScheduleKernel::Step() {
   const std::vector<zoo::LabelOutput>& outputs =
       exec_->Execute(done_run.model_id);
 
-  // f(S, d): credit each valuable label with its best confidence so far.
-  // best == 0 means never credited (valuable confidences are > 0), so the
-  // first credit also records the label in the touched list.
+  // f(S, d): credit each valuable label with its best confidence so far
+  // (0 = never credited; valuable confidences are > 0). The value adds per
+  // label; the execution's gain sums the same improvements per model
+  // (ValueAccumulator's order), and the two sums may differ in the last
+  // bits, so each keeps its own accumulation.
+  double gain = 0.0;
   for (const auto& out : outputs) {
     if (out.confidence < zoo::kValuableConfidence) continue;
     double& best = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > best) {
-      if (best == 0.0) touched_labels_.push_back(out.label_id);
       result_.value += out.confidence - best;
+      gain += out.confidence - best;
       best = out.confidence;
     }
   }
   result_.makespan_s = std::max(result_.makespan_s, done_run.finish_s);
   ++result_.num_executions;
 
-  const ExecutionRecord* record = nullptr;
+  // One record per event, rebuilt in place: no allocation once the fresh
+  // buffer has grown. Full mode keeps a copy (its fresh list exactly sized,
+  // and no allocation at all when the execution emitted nothing new).
+  ExecutionRecord& record = scratch_record_;
+  record.model_id = done_run.model_id;
+  record.start_s = done_run.start_s;
+  record.finish_s = done_run.finish_s;
+  record.gain = gain;
+  state_.ApplyInto(done_run.model_id, outputs, &record.fresh);
   if (mode_ == KernelMode::kFull) {
-    ExecutionRecord full;
-    full.model_id = done_run.model_id;
-    full.start_s = done_run.start_s;
-    full.finish_s = done_run.finish_s;
-    full.outputs = outputs;
-    full.fresh = state_.Apply(done_run.model_id, outputs);
-    full.reward = ModelReward(full.fresh, models_[done_run.model_id].theta);
-    result_.executions.push_back(std::move(full));
-    record = &result_.executions.back();
-  } else {
-    // Lean: reuse one scratch record — no output copies, no reward, no
-    // per-event allocations once the fresh buffer has grown.
-    scratch_record_.model_id = done_run.model_id;
-    scratch_record_.start_s = done_run.start_s;
-    scratch_record_.finish_s = done_run.finish_s;
-    state_.ApplyInto(done_run.model_id, outputs, &scratch_record_.fresh);
-    record = &scratch_record_;
+    record.reward = ModelReward(record.fresh, models_[done_run.model_id].theta);
+    records_.push_back(record);
   }
 
-  if (hooks_.on_executed && hooks_.on_executed(*record, state_)) {
+  if (hooks_.on_executed && hooks_.on_executed(record, state_)) {
     stopped_ = true;
   }
   if (now_ >= constraints_.time_budget_s) stopped_ = true;
@@ -189,10 +237,14 @@ ScheduleResult ScheduleKernel::TakeResult() {
   AMS_CHECK(!result_taken_, "TakeResult called twice");
   result_taken_ = true;
   if (mode_ == KernelMode::kFull) {
-    // Ascending label order, matching the sorted-map export this replaces.
-    std::sort(touched_labels_.begin(), touched_labels_.end());
-    result_.recalled_labels.reserve(touched_labels_.size());
-    for (const int label : touched_labels_) {
+    result_.executions.assign(std::make_move_iterator(records_.begin()),
+                              std::make_move_iterator(records_.end()));
+    records_.clear();
+    // The credited labels are the state's set labels, already ascending
+    // (the order of the sorted-map export this replaces).
+    const std::vector<int>& credited = state_.SetIndices();
+    result_.recalled_labels.reserve(credited.size());
+    for (const int label : credited) {
       result_.recalled_labels.push_back(
           {label, best_conf_[static_cast<size_t>(label)]});
     }

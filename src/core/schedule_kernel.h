@@ -32,13 +32,15 @@ struct ExecutionRecord {
   int model_id = -1;
   double start_s = 0.0;
   double finish_s = 0.0;
-  /// Raw model output (labels + confidences, incl. low-confidence ones).
-  /// Empty in lean kernel mode (outputs are never materialized there).
-  std::vector<zoo::LabelOutput> outputs;
   /// O'(m, d): newly emitted valuable labels.
   std::vector<zoo::LabelOutput> fresh;
   /// Reward of Eq. (3) for this execution; 0 in lean kernel mode.
   double reward = 0.0;
+  /// Marginal gain f(S ∪ {m}, d) − f(S, d) of this execution: the summed
+  /// confidence improvements of its valuable outputs, in output order —
+  /// exactly ValueAccumulator::AddModel's sum, so a running sum of gains in
+  /// finish order is the item's value ledger.
+  double gain = 0.0;
 };
 
 /// Outcome of scheduling one item.
@@ -86,8 +88,8 @@ class ExecutionContext {
   virtual const std::vector<zoo::LabelOutput>& Execute(int model) const = 0;
 };
 
-/// Live inference on one scene via ModelZoo::Execute. Never peeks at outputs
-/// of models it did not select, matching a production deployment.
+/// Live inference on one scene via ModelZoo::ExecuteInto. Never peeks at
+/// outputs of models it did not select, matching a production deployment.
 class LiveExecutionContext : public ExecutionContext {
  public:
   LiveExecutionContext(const zoo::ModelZoo* zoo, const zoo::LatentScene* scene);
@@ -97,11 +99,16 @@ class LiveExecutionContext : public ExecutionContext {
   double RealizedTime(int model) const override;
   const std::vector<zoo::LabelOutput>& Execute(int model) const override;
 
+  /// Re-targets the context at another scene of the same zoo, keeping the
+  /// output buffer's capacity (pooled item runs reuse one context).
+  void set_scene(const zoo::LatentScene* scene);
+
  private:
   const zoo::ModelZoo* zoo_;
   const zoo::LatentScene* scene_;
   /// Holds the last Execute result so outputs can be served by reference
-  /// (the kernel consumes them before the next execution).
+  /// (the kernel consumes them before the next execution). Refilled in
+  /// place, so executions stop allocating once it has grown.
   mutable std::vector<zoo::LabelOutput> last_outputs_;
 };
 
@@ -169,21 +176,22 @@ struct KernelHooks {
   /// already in flight still drains (its outputs count, exactly as in
   /// Algorithm 2's final window).
   ///
-  /// In lean kernel mode the record passed here is a reused scratch whose
-  /// `outputs` are empty and `reward` is 0; `model_id`, `start_s`,
-  /// `finish_s` and `fresh` are always valid.
+  /// The record passed here is the kernel's reused scratch, valid for the
+  /// duration of the call: `model_id`, `start_s`, `finish_s`, `fresh` and
+  /// `gain` are always set, `reward` is 0 in lean kernel mode.
   std::function<bool(const ExecutionRecord&, const LabelingState&)>
       on_executed;
 };
 
 /// How much the kernel materializes per run.
 enum class KernelMode {
-  /// Full ScheduleResult: per-execution records (with output copies) and
-  /// the recalled-label union. The default.
+  /// Full ScheduleResult: per-execution records and the recalled-label
+  /// union. The default.
   kFull,
   /// Lean: accumulates only makespan, value, execution count and peak
-  /// memory — no per-execution output copies, no recalled-label map. The
-  /// offline recall-only paths (deadline/memory sweeps) run here.
+  /// memory — no per-execution records, no recalled-label map. The offline
+  /// recall-only paths (deadline/memory sweeps) and the serving steppers
+  /// run here.
   kLean,
 };
 
@@ -205,11 +213,27 @@ enum class KernelMode {
 /// drivers (LabelingService workers batching Q-predictions across items)
 /// interleave Step() calls of many kernels and refresh a shared
 /// DecisionPlane between event rounds.
+///
+/// Pooling: a kernel is sized once for its zoo (dense per-label and
+/// per-model tables) and re-targeted at the next item by Reset, which clears
+/// only what the previous item touched — its credited labels, the labeling
+/// state's set indices and executed models, the started/unstarted lists —
+/// so per-item setup costs O(models + labels touched), not O(labels), and
+/// allocates nothing. A reset kernel behaves bitwise like a freshly
+/// constructed one.
 class ScheduleKernel {
  public:
   ScheduleKernel(const ExecutionContext* exec,
                  const ScheduleConstraints& constraints, ModelPicker picker,
                  KernelHooks hooks = {}, KernelMode mode = KernelMode::kFull);
+
+  /// Re-targets the kernel at a new item, as if freshly constructed with the
+  /// same mode. Valid at any point — after TakeResult, or abandoning a run
+  /// midway. `exec` must come from a zoo of the same shape (label and model
+  /// counts; checked).
+  void Reset(const ExecutionContext* exec,
+             const ScheduleConstraints& constraints, ModelPicker picker,
+             KernelHooks hooks = {});
 
   /// Advances past the next finish event. Returns false once the schedule is
   /// complete (and on every later call).
@@ -227,8 +251,8 @@ class ScheduleKernel {
  private:
   void StartModels();
 
-  const ExecutionContext* exec_;
-  const zoo::ModelSpec* models_;  // exec_->zoo().models().data()
+  const ExecutionContext* exec_ = nullptr;
+  const zoo::ModelSpec* models_ = nullptr;  // exec_->zoo().models().data()
   int num_models_;
   ScheduleConstraints constraints_;
   ModelPicker picker_;
@@ -248,24 +272,26 @@ class ScheduleKernel {
   std::vector<bool> started_;
   // Pick tables (see PickContext): unstarted ids kept ascending (a started
   // id is erased in place, so the order never changes) and the per-item
-  // planned times, filled once at construction.
+  // planned times, filled at every Reset.
   std::vector<int> unstarted_;
   std::vector<double> planned_time_;
-  double mem_free_;
+  double mem_free_ = 0.0;
   double mem_used_ = 0.0;
   double now_ = 0.0;
   bool stopped_ = false;
   bool done_ = false;
   bool result_taken_ = false;
-  // Lean-mode scratch reused across events (no per-event allocations).
+  // The record of the latest finish event, rebuilt in place every event and
+  // handed to the hook; full mode appends a copy to records_.
   ExecutionRecord scratch_record_;
+  // Full mode: this item's records, moved into an exactly sized
+  // ScheduleResult::executions by TakeResult. Its capacity survives Reset.
+  std::vector<ExecutionRecord> records_;
   // Best-confidence union of valuable labels, for f(S, d): flat table
   // indexed by label id (0 = never credited; valuable confidences are
-  // strictly positive) plus the first-touch list of credited labels. Both
-  // are sized at construction, so value accounting never allocates
-  // per event — part of the zero-allocation steady-state tick contract.
+  // strictly positive). Its non-zero entries are exactly
+  // state_.SetIndices(), which is how Reset and TakeResult visit them.
   std::vector<double> best_conf_;
-  std::vector<int> touched_labels_;
 };
 
 /// Runs one schedule start to finish (the single-shot form of the kernel).

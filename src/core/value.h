@@ -45,11 +45,22 @@ class ValueAccumulator {
   std::vector<bool> added_;
 };
 
-/// True once `acc` has reached `target` value recall, within the shared
-/// stop tolerance used by every ground-truth-driven stop condition (§VI-B);
+/// Value recall f(S, d) / f(M, d) from a value and the item's true total;
+/// 1.0 when the item has no valuable labels at all. The one definition
+/// behind ValueAccumulator::Recall and LabelingService's kernel ledger.
+inline double ValueRecall(double value, double total_value) {
+  return total_value <= 0.0 ? 1.0 : value / total_value;
+}
+
+/// True once `recall` has reached `target`, within the shared stop
+/// tolerance used by every ground-truth-driven stop condition (§VI-B);
 /// `target` < 0 disables the check.
+inline bool RecallTargetReached(double recall, double target) {
+  return target >= 0.0 && recall >= target - 1e-12;
+}
+
 inline bool RecallTargetReached(const ValueAccumulator& acc, double target) {
-  return target >= 0.0 && acc.Recall() >= target - 1e-12;
+  return RecallTargetReached(acc.Recall(), target);
 }
 
 }  // namespace ams::core

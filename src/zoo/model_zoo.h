@@ -44,6 +44,11 @@ class ModelZoo {
   /// low-confidence outputs — both are the waste the paper's Fig. 1 shows.
   std::vector<LabelOutput> Execute(int model_id, const LatentScene& scene) const;
 
+  /// Execute into a caller-owned buffer: clears `*out` and fills it,
+  /// reusing its capacity (Execute is a wrapper over this).
+  void ExecuteInto(int model_id, const LatentScene& scene,
+                   std::vector<LabelOutput>* out) const;
+
   /// Sum of all model mean times (the "no policy" per-item cost).
   double TotalTimeSeconds() const;
 

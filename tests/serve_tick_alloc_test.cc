@@ -3,7 +3,9 @@
 // kernel in lean mode, a steady-state Tick — batched Q refresh through the
 // DecisionPlane, one kernel step per resident item, completion handling —
 // must perform ZERO heap allocations once the first pass over the workload
-// has sized every buffer. The raw-buffer Agent forward underneath carries
+// has sized every buffer, for stored items and live scenes alike. So must
+// Admit: it re-targets a pooled item run (kernel, execution context, slot)
+// instead of building one. The raw-buffer Agent forward underneath carries
 // the same contract and is checked on its own.
 //
 // The hook is a global operator new/delete replacement with a flag-gated
@@ -14,6 +16,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <vector>
@@ -195,64 +198,150 @@ zoo::ModelZoo* TickAllocTest::zoo_ = nullptr;
 data::Dataset* TickAllocTest::dataset_ = nullptr;
 data::Oracle* TickAllocTest::oracle_ = nullptr;
 
-TEST_F(TickAllocTest, SteadyStateLeanStepperTicksAreAllocationFree) {
-  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
-  // Lean kernels reuse one scratch record per step; kFull materializes an
-  // ExecutionRecord (outputs copy + fresh-label list) per execution event by
-  // design, so the zero-allocation steady-state contract is lean-mode only.
-  std::unique_ptr<rl::Agent> agent = MakeAgent(
-      zoo_->labels().total_labels(), zoo_->num_models() + 1, nn::NetKind::kMlp,
-      7);
+constexpr int kItems = 8;
+constexpr int kTickBound = 10000;
+
+core::LabelingService LeanSession(const zoo::ModelZoo* zoo,
+                                  const data::Oracle* oracle,
+                                  rl::Agent* agent, core::ExecutionMode mode) {
   core::ScheduleConstraints constraints;
   constraints.time_budget_s = 1.0;
-  constraints.memory_budget_mb = 8000.0;
-  core::LabelingService session =
-      core::LabelingServiceBuilder(zoo_)
-          .WithOracle(oracle_)
-          .WithPredictor(agent.get())
-          .WithMode(core::ExecutionMode::kParallel)
-          .WithConstraints(constraints)
-          .WithKernelMode(core::KernelMode::kLean)
-          .WithWorkers(1)
-          .Build();
-  std::unique_ptr<core::LabelingService::ItemStepper> stepper =
-      session.NewItemStepper(0);
+  if (mode == core::ExecutionMode::kParallel) {
+    constraints.memory_budget_mb = 8000.0;
+  }
+  return core::LabelingServiceBuilder(zoo)
+      .WithOracle(oracle)
+      .WithPredictor(agent)
+      .WithMode(mode)
+      .WithConstraints(constraints)
+      .WithKernelMode(core::KernelMode::kLean)
+      .WithWorkers(1)
+      .Build();
+}
 
-  constexpr int kItems = 8;
-  constexpr int kTickBound = 10000;
-  std::vector<core::LabelingService::ItemStepper::Completion> completed;
-  completed.reserve(kItems * 2);
-
-  // Warm-up pass: runs the full workload once, sizing the arena, the plane's
-  // row memo + slot buffers, the agent's batch scratch, and every kernel
-  // capacity the admission path reserves.
-  for (int i = 0; i < kItems; ++i) {
-    stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
+/// Admits `items` and ticks until the stepper is idle, appending every
+/// completion to `completed`.
+void RunPass(core::LabelingService::ItemStepper* stepper,
+             const std::vector<core::WorkItem>& items,
+             std::vector<core::LabelingService::ItemStepper::Completion>*
+                 completed) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    stepper->Admit(items[i], static_cast<uint64_t>(i));
   }
   for (int t = 0; !stepper->idle(); ++t) {
-    ASSERT_LT(t, kTickBound) << "warm-up did not converge";
-    stepper->Tick(&completed);
+    ASSERT_LT(t, kTickBound) << "pass did not converge";
+    stepper->Tick(completed);
   }
-  ASSERT_EQ(completed.size(), static_cast<size_t>(kItems));
-  completed.clear();
+}
 
-  // Measured pass: identical workload. Admission allocates (new kernels and
-  // replay contexts per item — that is per-item setup, not tick work); every
-  // Tick must not.
-  for (int i = 0; i < kItems; ++i) {
-    stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
+/// Warm-up pass, then (after `after_warmup`, when set) a measured pass over
+/// the same items in which every Tick must stay off the heap. Returns the
+/// number of measured ticks.
+int ExpectAllocationFreeTicks(
+    core::LabelingService::ItemStepper* stepper,
+    const std::vector<core::WorkItem>& items,
+    const std::function<void()>& after_warmup = nullptr) {
+  std::vector<core::LabelingService::ItemStepper::Completion> completed;
+  completed.reserve(items.size() * 2);
+  // Warm-up pass: runs the full workload once, sizing the arena, the plane's
+  // row memo + slot buffers, the agent's batch scratch, and the worker's
+  // pool of item runs.
+  RunPass(stepper, items, &completed);
+  EXPECT_EQ(completed.size(), items.size());
+  completed.clear();
+  if (after_warmup != nullptr) after_warmup();
+
+  for (size_t i = 0; i < items.size(); ++i) {
+    stepper->Admit(items[i], static_cast<uint64_t>(i));
   }
   int measured_ticks = 0;
   for (int t = 0; !stepper->idle(); ++t) {
-    ASSERT_LT(t, kTickBound) << "measured pass did not converge";
+    if (t >= kTickBound) {
+      ADD_FAILURE() << "measured pass did not converge";
+      break;
+    }
     const size_t allocs = CountAllocations([&] { stepper->Tick(&completed); });
     EXPECT_EQ(allocs, 0u) << "tick " << t << " touched the heap";
     ++measured_ticks;
   }
-  EXPECT_EQ(completed.size(), static_cast<size_t>(kItems));
+  EXPECT_EQ(completed.size(), items.size());
+  return measured_ticks;
+}
+
+TEST_F(TickAllocTest, SteadyStateLeanStepperTicksAreAllocationFree) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // Lean kernels reuse one scratch record per step; kFull materializes an
+  // ExecutionRecord (with its fresh-label list) per execution event by
+  // design, so the zero-allocation steady-state contract is lean-mode only.
+  std::unique_ptr<rl::Agent> agent = MakeAgent(
+      zoo_->labels().total_labels(), zoo_->num_models() + 1, nn::NetKind::kMlp,
+      7);
+  core::LabelingService session = LeanSession(
+      zoo_, oracle_, agent.get(), core::ExecutionMode::kParallel);
+  std::unique_ptr<core::LabelingService::ItemStepper> stepper =
+      session.NewItemStepper(0);
+  std::vector<core::WorkItem> items;
+  for (int i = 0; i < kItems; ++i) items.push_back(core::WorkItem::Stored(i));
   // The contract is about steady-state work, so the workload must actually
   // tick a few times (admission skips would trivially pass).
-  EXPECT_GE(measured_ticks, 3);
+  EXPECT_GE(ExpectAllocationFreeTicks(stepper.get(), items), 3);
+}
+
+TEST_F(TickAllocTest, SteadyStateLiveSceneTicksAreAllocationFree) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // Live scenes run the zoo itself: each pooled run's live context refills
+  // one output buffer per execution instead of allocating a vector.
+  std::unique_ptr<rl::Agent> agent = MakeAgent(
+      zoo_->labels().total_labels(), zoo_->num_models() + 1, nn::NetKind::kMlp,
+      7);
+  core::LabelingService session = LeanSession(
+      zoo_, oracle_, agent.get(), core::ExecutionMode::kParallel);
+  std::unique_ptr<core::LabelingService::ItemStepper> stepper =
+      session.NewItemStepper(0);
+  std::vector<core::WorkItem> items;
+  for (int i = 0; i < kItems; ++i) {
+    items.push_back(core::WorkItem::Live(&dataset_->item(i).scene));
+  }
+  EXPECT_GE(ExpectAllocationFreeTicks(stepper.get(), items), 3);
+}
+
+TEST_F(TickAllocTest, AdmissionAfterWarmupIsAllocationFree) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // Admission draws a pooled item run and re-targets its kernel, replay
+  // context and plane slot; the picker and the ledger hook capture a single
+  // pointer each, so neither needs a std::function heap block.
+  std::unique_ptr<rl::Agent> agent = MakeAgent(
+      zoo_->labels().total_labels(), zoo_->num_models() + 1, nn::NetKind::kMlp,
+      7);
+  for (const core::ExecutionMode mode :
+       {core::ExecutionMode::kSerial, core::ExecutionMode::kParallel}) {
+    core::LabelingService session =
+        LeanSession(zoo_, oracle_, agent.get(), mode);
+    std::unique_ptr<core::LabelingService::ItemStepper> stepper =
+        session.NewItemStepper(0);
+    std::vector<core::WorkItem> items;
+    for (int i = 0; i < kItems; ++i) {
+      items.push_back(core::WorkItem::Stored(i));
+    }
+    std::vector<core::LabelingService::ItemStepper::Completion> completed;
+    completed.reserve(items.size() * 2);
+    RunPass(stepper.get(), items, &completed);
+    ASSERT_EQ(completed.size(), items.size());
+    completed.clear();
+
+    for (size_t i = 0; i < items.size(); ++i) {
+      const size_t allocs = CountAllocations(
+          [&] { stepper->Admit(items[i], static_cast<uint64_t>(i)); });
+      EXPECT_EQ(allocs, 0u) << "mode " << static_cast<int>(mode)
+                            << ": admitting item " << i
+                            << " touched the heap";
+    }
+    for (int t = 0; !stepper->idle(); ++t) {
+      ASSERT_LT(t, kTickBound) << "measured pass did not converge";
+      stepper->Tick(&completed);
+    }
+    EXPECT_EQ(completed.size(), items.size());
+  }
 }
 
 TEST_F(TickAllocTest, TracedSteadyStateTicksAreStillAllocationFree) {
@@ -265,18 +354,8 @@ TEST_F(TickAllocTest, TracedSteadyStateTicksAreStillAllocationFree) {
   std::unique_ptr<rl::Agent> agent = MakeAgent(
       zoo_->labels().total_labels(), zoo_->num_models() + 1, nn::NetKind::kMlp,
       7);
-  core::ScheduleConstraints constraints;
-  constraints.time_budget_s = 1.0;
-  constraints.memory_budget_mb = 8000.0;
-  core::LabelingService session =
-      core::LabelingServiceBuilder(zoo_)
-          .WithOracle(oracle_)
-          .WithPredictor(agent.get())
-          .WithMode(core::ExecutionMode::kParallel)
-          .WithConstraints(constraints)
-          .WithKernelMode(core::KernelMode::kLean)
-          .WithWorkers(1)
-          .Build();
+  core::LabelingService session = LeanSession(
+      zoo_, oracle_, agent.get(), core::ExecutionMode::kParallel);
   std::unique_ptr<core::LabelingService::ItemStepper> stepper =
       session.NewItemStepper(0);
 
@@ -284,35 +363,17 @@ TEST_F(TickAllocTest, TracedSteadyStateTicksAreStillAllocationFree) {
   obs::TraceBuffer* lane = tracer.EnsureLane(0, 0);
   stepper->AttachTracer(&tracer, lane, &util::Clock::Monotonic());
 
-  constexpr int kItems = 8;
-  constexpr int kTickBound = 10000;
-  std::vector<core::LabelingService::ItemStepper::Completion> completed;
-  completed.reserve(kItems * 2);
-
-  for (int i = 0; i < kItems; ++i) {
-    stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
-  }
-  for (int t = 0; !stepper->idle(); ++t) {
-    ASSERT_LT(t, kTickBound) << "warm-up did not converge";
-    stepper->Tick(&completed);
-  }
-  ASSERT_EQ(completed.size(), static_cast<size_t>(kItems));
-  completed.clear();
-  const uint64_t warmup_events = lane->recorded();
-  EXPECT_GT(warmup_events, 0u) << "tracing was attached but recorded nothing";
-
-  for (int i = 0; i < kItems; ++i) {
-    stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
-  }
-  int measured_ticks = 0;
-  for (int t = 0; !stepper->idle(); ++t) {
-    ASSERT_LT(t, kTickBound) << "measured pass did not converge";
-    const size_t allocs = CountAllocations([&] { stepper->Tick(&completed); });
-    EXPECT_EQ(allocs, 0u) << "traced tick " << t << " touched the heap";
-    ++measured_ticks;
-  }
-  EXPECT_EQ(completed.size(), static_cast<size_t>(kItems));
-  EXPECT_GE(measured_ticks, 3);
+  std::vector<core::WorkItem> items;
+  for (int i = 0; i < kItems; ++i) items.push_back(core::WorkItem::Stored(i));
+  uint64_t warmup_events = 0;
+  EXPECT_GE(ExpectAllocationFreeTicks(stepper.get(), items,
+                                      [&] {
+                                        warmup_events = lane->recorded();
+                                        EXPECT_GT(warmup_events, 0u)
+                                            << "tracing was attached but "
+                                               "recorded nothing";
+                                      }),
+            3);
   // The measured ticks were actually traced, not silently skipped.
   EXPECT_GT(lane->recorded(), warmup_events);
   EXPECT_TRUE(stepper->last_tick_stats().traced);
