@@ -3,10 +3,13 @@
 // (LabelingService::SubmitBatch) and through the asynchronous
 // serve::ServerRuntime (enqueue everything, Drain) — and emits a
 // machine-readable BENCH_serve.json baseline next to the human-readable
-// table. The serve runtime must sustain at least SubmitBatch throughput:
-// its workers multiplex a continuously refilled resident set (no end-of-wave
-// stragglers, queue-balanced instead of statically partitioned), which is
-// what pays for the queue/future overhead per item.
+// table. Both entry points drive the same stepping engine: every SubmitBatch
+// worker feeds its static block through a session-lifetime ItemStepper
+// (up to 16 items resident, Q-row memo kept across calls), and every
+// runtime worker feeds a queue-balanced ItemStepper (32 resident) through
+// the admission queue and a future per item. So the ratio measures what the
+// runtime's queueing, futures and dynamic balancing cost or buy per item
+// against the static partition, not a difference in stepping engines.
 //
 // Both paths must label identically (summed recall and execution counts are
 // asserted): the runtime changes scheduling cost, never outcomes. The

@@ -22,6 +22,14 @@ DecisionPlane::DecisionPlane(ModelValuePredictor* predictor, bool memoize_rows,
   AMS_CHECK(predictor != nullptr);
 }
 
+void DecisionPlane::Rebind(ModelValuePredictor* predictor) {
+  AMS_CHECK(predictor != nullptr);
+  AMS_CHECK(free_slots_.size() == slots_.size(),
+            "rebinding a plane with slots in use");
+  predictor_ = predictor;
+  ClearMemo();
+}
+
 bool DecisionPlane::ServeFromMemo(Slot* slot, const LabelingState& state) {
   if (!memoize_rows_) return false;
   const auto it = row_memo_.find(state.SetIndices());

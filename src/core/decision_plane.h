@@ -47,13 +47,13 @@ enum class RowForm {
 /// Not thread-safe: one plane per worker, like the predictor it wraps.
 class DecisionPlane {
  public:
-  /// `memoize_rows` opts into the plane-lifetime Q-row memo (see row_memo_
-  /// below): computed rows are kept keyed by state signature and later
-  /// queries for the same state skip the forward pass entirely. Worth it
-  /// only for long-lived planes (the serve runtime's steppers, where steady
-  /// state becomes mostly memo hits); per-call planes (SubmitBatch blocks)
-  /// pay the insert cost without living long enough to profit. `form`
-  /// fixes what every row holds (see RowForm).
+  /// `memoize_rows` opts into the Q-row memo (see row_memo_ below):
+  /// computed rows are kept keyed by state signature and later queries for
+  /// the same state skip the forward pass entirely. Worth it only for
+  /// long-lived planes (the item steppers behind SubmitBatch workers and
+  /// the serve runtime, where steady state becomes mostly memo hits); a
+  /// plane that lives for a handful of items pays the insert cost without
+  /// profiting. `form` fixes what every row holds (see RowForm).
   explicit DecisionPlane(ModelValuePredictor* predictor,
                          bool memoize_rows = false,
                          RowForm form = RowForm::kQ);
@@ -137,6 +137,15 @@ class DecisionPlane {
 
   ModelValuePredictor* predictor() const { return predictor_; }
 
+  /// Drops every memoized row. A row is valid only for the weights that
+  /// computed it, so owners call this whenever the predictor's weights may
+  /// have changed.
+  void ClearMemo() { row_memo_.clear(); }
+
+  /// Re-points the plane at `predictor` (e.g. a rebuilt clone) and drops the
+  /// memo. No slot may be in use: slots cache rows of the old predictor.
+  void Rebind(ModelValuePredictor* predictor);
+
   /// Forward passes issued so far, for tests and perf accounting.
   long scalar_predictions() const { return scalar_predictions_; }
   long batched_predictions() const { return batched_predictions_; }
@@ -172,13 +181,13 @@ class DecisionPlane {
   ModelValuePredictor* predictor_;
   std::deque<Slot> slots_;  // deque: slot pointers must stay stable
   std::vector<Slot*> free_slots_;  // recycled by ReleaseSlot
-  /// Plane-lifetime Q-row memo keyed by state signature: items pass through
-  /// shared sparse label-states (every item starts all-zero, common label
-  /// combinations recur across items), so a long-lived driver — the serve
-  /// runtime's steppers above all — serves most decision points without any
-  /// forward pass at steady state. Sound because a plane wraps one frozen
-  /// predictor instance (the same assumption every slot cache already
-  /// makes), and rows are bitwise identical however they were computed.
+  /// Q-row memo keyed by state signature: items pass through shared sparse
+  /// label-states (every item starts all-zero, common label combinations
+  /// recur across items), so a long-lived plane serves most decision
+  /// points without any forward pass at steady state. Sound while the
+  /// predictor's weights stay put (the same assumption every slot cache
+  /// makes; owners ClearMemo when they may have moved), and rows are
+  /// bitwise identical however they were computed.
   std::unordered_map<std::vector<int>, std::vector<double>, IndexListHash>
       row_memo_;
   bool memoize_rows_ = false;

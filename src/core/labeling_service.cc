@@ -52,35 +52,58 @@ RowForm PlaneRowForm(ExecutionMode mode) {
   return mode == ExecutionMode::kGreedy ? RowForm::kQ : RowForm::kProfit;
 }
 
+// The stream id of SubmitBatch's item `k`: the stored item id (Submit()
+// parity), or the live item's session-level sequence number.
+uint64_t BatchStreamId(const WorkItem& item, int k, uint64_t live_base) {
+  return item.item >= 0 ? static_cast<uint64_t>(item.item)
+                        : live_base + static_cast<uint64_t>(k);
+}
+
 }  // namespace
 
 /// Per-worker predictor clones, created on first use and reused for the
-/// session's lifetime. Cloning an rl::Agent round-trips every weight
-/// through the checkpoint format (milliseconds); paying that once per
-/// worker instead of once per batch is what lets short batches scale.
-/// Every acquisition re-syncs the clone from the live source (raw weight
-/// copy, or a fresh clone when the predictor cannot sync), so a predictor
-/// mutated between batches — a training loop, a checkpoint reload — is
-/// always picked up, exactly as if the clone were rebuilt per batch.
+/// session's lifetime. Every acquisition re-syncs the clone from the live
+/// source (weight compare-and-copy, or a fresh clone when the predictor
+/// cannot sync), so a predictor mutated between batches — a training loop,
+/// a checkpoint reload — is always picked up, exactly as if the clone were
+/// rebuilt per batch. Each acquisition reports the clone's generation,
+/// which moves whenever the clone was rebuilt or its weights changed, so a
+/// caller holding rows computed by the clone knows when they went stale.
 struct LabelingService::PredictorPool {
-  std::mutex mu;
-  std::vector<std::unique_ptr<ModelValuePredictor>> clones;  // by worker
+  struct Entry {
+    std::unique_ptr<ModelValuePredictor> clone;
+    uint64_t generation = 0;
+  };
+  /// A worker's clone — nullptr when the predictor does not support cloning
+  /// (the caller then shares the original, which must be thread-safe) — and
+  /// its generation. A non-clonable predictor gets a new generation at every
+  /// acquisition: nothing reports when its rows change.
+  struct Lease {
+    ModelValuePredictor* clone = nullptr;
+    uint64_t generation = 0;
+  };
 
-  /// Returns the worker's up-to-date clone, or nullptr when the predictor
-  /// does not support cloning (the caller then shares the original, which
-  /// must be thread-safe — same contract as before the pool existed).
-  ModelValuePredictor* GetOrCreate(int worker,
-                                   ModelValuePredictor* predictor) {
+  std::mutex mu;
+  std::vector<Entry> clones;  // by worker
+  uint64_t last_generation = 0;
+
+  Lease GetOrCreate(int worker, ModelValuePredictor* predictor) {
+    using WeightSync = ModelValuePredictor::WeightSync;
     std::lock_guard<std::mutex> lock(mu);
     if (static_cast<size_t>(worker) >= clones.size()) {
       clones.resize(static_cast<size_t>(worker) + 1);
     }
-    std::unique_ptr<ModelValuePredictor>& slot =
-        clones[static_cast<size_t>(worker)];
-    if (slot == nullptr || !slot->SyncWeightsFrom(predictor)) {
-      slot = predictor->ClonePredictor();
+    Entry& entry = clones[static_cast<size_t>(worker)];
+    const WeightSync sync = entry.clone != nullptr
+                                ? entry.clone->SyncWeightsFrom(predictor)
+                                : WeightSync::kUnsupported;
+    if (sync == WeightSync::kUnsupported) {
+      entry.clone = predictor->ClonePredictor();
+      entry.generation = ++last_generation;
+    } else if (sync == WeightSync::kUpdated) {
+      entry.generation = ++last_generation;
     }
-    return slot.get();
+    return {entry.clone.get(), entry.generation};
   }
 };
 
@@ -138,19 +161,25 @@ LabelingService::DecisionState LabelingService::MakeDecisionState(
     AMS_CHECK(state.policy != nullptr, "policy factory returned null");
   }
   if (config_.predictor != nullptr) {
-    ModelValuePredictor* clone = nullptr;
-    if (clone_predictor) {
-      // Clones live in the session pool, created once per worker and reused
-      // across batches.
-      clone = predictor_pool_->GetOrCreate(worker_index, config_.predictor);
-    }
-    // Predictors that cannot clone are shared; they must be thread-safe
-    // (documented on ModelValuePredictor::ClonePredictor).
-    state.predictor = clone != nullptr ? clone : config_.predictor;
+    state.predictor = config_.predictor;
     state.plane = std::make_unique<DecisionPlane>(
         state.predictor, memoize_rows, PlaneRowForm(config_.mode));
+    if (clone_predictor) SyncPredictor(&state, worker_index);
   }
   return state;
+}
+
+void LabelingService::SyncPredictor(DecisionState* state,
+                                    int worker_index) const {
+  const PredictorPool::Lease lease =
+      predictor_pool_->GetOrCreate(worker_index, config_.predictor);
+  // Same clone, same weights: every memoized row still holds.
+  if (lease.generation == state->clone_generation) return;
+  // Predictors that cannot clone are shared; they must be thread-safe
+  // (documented on ModelValuePredictor::ClonePredictor).
+  state->predictor = lease.clone != nullptr ? lease.clone : config_.predictor;
+  state->clone_generation = lease.generation;
+  state->plane->Rebind(state->predictor);
 }
 
 std::unique_ptr<LabelingService::ItemRun> LabelingService::PrepareItem(
@@ -264,69 +293,12 @@ LabelOutcome LabelingService::RunOne(const WorkItem& item,
   return FinishRun(std::move(run), state);
 }
 
-void LabelingService::RunCoScheduled(
-    const std::vector<const WorkItem*>& items,
-    const std::vector<uint64_t>& stream_ids,
-    const std::vector<LabelOutcome*>& outcomes, DecisionState* state) const {
-  const size_t n = items.size();
-  AMS_CHECK(stream_ids.size() == n && outcomes.size() == n);
-  AMS_CHECK(state->plane != nullptr,
-            "co-scheduling batches predictor Q-queries");
-
-  // Items co-scheduled at once. Large enough to amortize a forward pass,
-  // small enough that the wave's kernel state (features, accumulators,
-  // running sets) stays cache-resident — co-scheduling a worker's entire
-  // block measurably thrashes once hundreds of items cycle per round.
-  constexpr size_t kWaveSize = 16;
-
-  // The worker's plane (no row memo) resets its own arena every event
-  // round, so rounds re-use one warm block. Finished and skipped items hand
-  // their run and slot back to the worker's pool, so one wave's worth of
-  // runs serves the whole batch.
-  DecisionPlane& plane = *state->plane;
-  std::vector<DecisionPlane::SlotView> views;
-  std::vector<std::unique_ptr<ItemRun>> runs;  // the wave; null once done
-  for (size_t wave_begin = 0; wave_begin < n; wave_begin += kWaveSize) {
-    const size_t wave = std::min(kWaveSize, n - wave_begin);
-    runs.clear();
-    for (size_t i = 0; i < wave; ++i) {
-      const size_t k = wave_begin + i;
-      runs.push_back(PrepareItem(*items[k], state, stream_ids[k]));
-      if (runs[i]->skipped) *outcomes[k] = FinishRun(std::move(runs[i]), state);
-    }
-
-    // Event-round lockstep: refresh every picking kernel's Q-slot with ONE
-    // batched forward pass, then advance each live kernel past one finish
-    // event. Items are independent, so the interleaving cannot change any
-    // outcome — only how many forward passes the round costs.
-    for (bool any_live = true; any_live;) {
-      views.clear();
-      for (const std::unique_ptr<ItemRun>& run : runs) {
-        if (run != nullptr && run->kernel->picking()) {
-          views.push_back({run->slot, &run->kernel->state()});
-        }
-      }
-      plane.Prefetch(views);
-      any_live = false;
-      for (size_t i = 0; i < wave; ++i) {
-        if (runs[i] == nullptr) continue;
-        if (runs[i]->kernel->Step()) {
-          any_live = true;
-        } else {
-          *outcomes[wave_begin + i] = FinishRun(std::move(runs[i]), state);
-        }
-      }
-    }
-  }
-}
-
 LabelingService::ItemStepper::ItemStepper(const LabelingService* session,
                                           int worker_index)
     : session_(session),
-      // Steppers live for the serving runtime's lifetime over a frozen
-      // predictor clone, the regime the plane's row memo exists for: at
-      // steady state most decision points are served without a forward
-      // pass.
+      // Steppers live for a serving runtime's or a session's lifetime, the
+      // regime the plane's row memo exists for: at steady state most
+      // decision points are served without a forward pass.
       state_(session->MakeDecisionState(/*clone_predictor=*/true,
                                         worker_index,
                                         /*memoize_rows=*/true)) {
@@ -540,6 +512,46 @@ sched::SchedulingPolicy* LabelingService::session_policy() {
   return policy;
 }
 
+LabelingService::ItemStepper* LabelingService::BatchStepper(int worker_index) {
+  std::unique_ptr<ItemStepper>& stepper =
+      batch_steppers_[static_cast<size_t>(worker_index)];
+  if (stepper == nullptr) {
+    stepper.reset(new ItemStepper(this, worker_index));
+    return stepper.get();
+  }
+  stepper->session_ = this;
+  if (stepper->state_.plane != nullptr) {
+    SyncPredictor(&stepper->state_, worker_index);
+  }
+  return stepper.get();
+}
+
+void LabelingService::StepBlock(ItemStepper* stepper,
+                                const std::vector<WorkItem>& items,
+                                const std::vector<int>& block,
+                                uint64_t live_base,
+                                std::vector<LabelOutcome>* results) const {
+  const size_t count = block.size();
+  const int max_resident = config_.batch_predictions ? kBatchResident : 1;
+  const uint64_t first_ticket = stepper->next_ticket_;
+  std::vector<ItemStepper::Completion> completed;
+  size_t admitted = 0;
+  while (admitted < count || !stepper->idle()) {
+    for (; admitted < count && stepper->resident() < max_resident;
+         ++admitted) {
+      const int k = block[admitted];
+      const WorkItem& item = items[static_cast<size_t>(k)];
+      stepper->Admit(item, BatchStreamId(item, k, live_base));
+    }
+    completed.clear();
+    stepper->Tick(&completed);
+    for (ItemStepper::Completion& done : completed) {
+      const int k = block[done.ticket - first_ticket];
+      (*results)[static_cast<size_t>(k)] = std::move(done.outcome);
+    }
+  }
+}
+
 std::vector<LabelOutcome> LabelingService::SubmitBatch(
     const std::vector<WorkItem>& items) {
   const int n = static_cast<int>(items.size());
@@ -592,49 +604,57 @@ std::vector<LabelOutcome> LabelingService::SubmitBatch(
   // assigned.
   AMS_CHECK(g == groups.size());
 
-  const auto run_block = [&](const std::pair<size_t, size_t>& block,
-                             int worker_index) {
+  const bool stepped = config_.policy_factory == nullptr;
+  if (stepped && batch_steppers_.size() < blocks.size()) {
+    batch_steppers_.resize(blocks.size());
+  }
+  const auto run_block = [&](size_t b) {
+    const int worker_index = static_cast<int>(b);
+    std::vector<int> block;  // the block's item indices, arrival order
+    for (size_t gi = blocks[b].first; gi < blocks[b].second; ++gi) {
+      block.insert(block.end(), groups[gi].begin(), groups[gi].end());
+    }
+    if (stepped) {
+      try {
+        StepBlock(BatchStepper(worker_index), items, block, live_base,
+                  &results);
+      } catch (...) {
+        // A throwing predictor leaves items resident; a later call must not
+        // inherit them, so the worker starts over with a new stepper.
+        batch_steppers_[b].reset();
+        throw;
+      }
+      return;
+    }
+    // Policies are stateful across a worker's items (chunk-adaptive
+    // history), so each call builds fresh instances and labels its block
+    // item by item.
     DecisionState state = MakeDecisionState(
         /*clone_predictor=*/true, worker_index, /*memoize_rows=*/false);
-    // Policies are stateful across a worker's items (chunk-adaptive
-    // history), so only predictor-driven sessions may co-schedule.
-    const bool coalesce = config_.batch_predictions &&
-                          state.predictor != nullptr &&
-                          state.policy == nullptr;
-    std::vector<const WorkItem*> block_items;
-    std::vector<uint64_t> stream_ids;
-    std::vector<LabelOutcome*> outcomes;
-    for (size_t gi = block.first; gi < block.second; ++gi) {
-      for (int k : groups[gi]) {
-        const WorkItem& item = items[static_cast<size_t>(k)];
-        const uint64_t stream_id =
-            item.item >= 0 ? static_cast<uint64_t>(item.item)
-                           : live_base + static_cast<uint64_t>(k);
-        if (coalesce) {
-          block_items.push_back(&item);
-          stream_ids.push_back(stream_id);
-          outcomes.push_back(&results[static_cast<size_t>(k)]);
-        } else {
-          results[static_cast<size_t>(k)] = RunOne(item, &state, stream_id);
-        }
-      }
+    for (const int k : block) {
+      const WorkItem& item = items[static_cast<size_t>(k)];
+      results[static_cast<size_t>(k)] =
+          RunOne(item, &state, BatchStreamId(item, k, live_base));
     }
-    if (coalesce) RunCoScheduled(block_items, stream_ids, outcomes, &state);
   };
 
   if (blocks.size() == 1) {
-    run_block(blocks[0], 0);
+    run_block(0);
     return results;
   }
-  util::ThreadPool pool(static_cast<int>(blocks.size()));
+  const int threads = static_cast<int>(blocks.size());
+  if (batch_threads_ == nullptr || batch_threads_->num_threads() < threads) {
+    batch_threads_.reset();  // joins the old threads before spawning more
+    batch_threads_ = std::make_unique<util::ThreadPool>(threads);
+  }
   std::vector<std::future<void>> futures;
   futures.reserve(blocks.size());
   for (size_t b = 0; b < blocks.size(); ++b) {
-    const std::pair<size_t, size_t> block = blocks[b];
-    const int worker_index = static_cast<int>(b);
-    futures.push_back(pool.Submit(
-        [&run_block, block, worker_index] { run_block(block, worker_index); }));
+    futures.push_back(batch_threads_->Submit([&run_block, b] { run_block(b); }));
   }
+  // Every block must finish before a failure unwinds this frame: the tasks
+  // reference its locals.
+  for (auto& future : futures) future.wait();
   for (auto& future : futures) future.get();
   return results;
 }

@@ -16,6 +16,10 @@
 #include "sched/policy.h"
 #include "sched/policy_registry.h"
 
+namespace ams::util {
+class ThreadPool;
+}  // namespace ams::util
+
 namespace ams::core {
 
 /// How a labeling session executes models for one item.
@@ -85,21 +89,27 @@ struct WorkEstimate {
 ///
 /// Threading model: Submit() runs inline and keeps one session-level policy
 /// instance, so chunked-stream policies accumulate knowledge across
-/// consecutive submissions. SubmitBatch()/Run() fan out over a
-/// util::ThreadPool with per-worker policy/predictor instances and a
-/// deterministic partition (whole chunks never split across workers), so
-/// results are reproducible for a fixed seed and worker count. A session
-/// parallelizes internally but is not itself thread-safe: issue
-/// Submit/SubmitBatch/Run calls one at a time (the live-item sequence and
-/// the pooled per-worker predictor clones are shared session state).
+/// consecutive submissions. SubmitBatch()/Run() fan out over the session's
+/// worker threads (created at the first call that needs more than one) with
+/// a deterministic partition (whole chunks never split across workers), so
+/// results are reproducible for a fixed seed and worker count. Each worker
+/// of a session without a policy feeds its block through its own
+/// session-lifetime ItemStepper — the same stepping engine the serve
+/// runtime drives — whose Q-row memo carries across calls; policy sessions
+/// build per-call policy instances and label their block item by item, so a
+/// policy's history never carries across calls. A session parallelizes
+/// internally but is not itself thread-safe: make Submit/SubmitBatch/Run
+/// calls one at a time (the live-item sequence, the steppers and the pooled
+/// per-worker predictor clones are shared session state).
 ///
 /// Execution plane knobs (see the builder): WithKernelMode(kLean) skips
 /// result materialization for recall-only paths, and
-/// WithBatchedPrediction(true) lets each SubmitBatch/Run worker co-schedule
-/// its items and batch their Q-queries into one forward pass per event
-/// round. Neither knob changes any outcome — only cost. Every entry point
-/// runs the same fp32 Q-forward, so outcomes are bitwise identical across
-/// Submit/SubmitBatch/Run, steppers, worker counts and SIMD tiers.
+/// WithBatchedPrediction(true) keeps up to 16 items resident per
+/// SubmitBatch/Run worker so their Q-queries share one forward pass per
+/// tick (false steps one item at a time). Neither knob changes any outcome
+/// — only cost. Every entry point runs the same fp32 Q-forward, so outcomes
+/// are bitwise identical across Submit/SubmitBatch/Run, steppers, worker
+/// counts and SIMD tiers.
 class LabelingService {
  public:
   using Sink = std::function<void(const WorkItem&, const LabelOutcome&)>;
@@ -175,7 +185,8 @@ class LabelingService {
   /// steppers serve predictor-driven and random-packing sessions.
   /// `worker_index` keys the per-worker predictor clone pool; concurrent
   /// steppers must use distinct indices. Do not run SubmitBatch/Run on the
-  /// session while steppers are live (they share the clone pool).
+  /// session while steppers are live (SubmitBatch's own steppers share the
+  /// clone pool).
   std::unique_ptr<ItemStepper> NewItemStepper(int worker_index);
 
  private:
@@ -222,15 +233,26 @@ class LabelingService {
     /// the pool holds as many runs as the worker ever had in flight and
     /// admission re-targets a pooled kernel instead of allocating one.
     std::vector<std::unique_ptr<ItemRun>> idle_runs;
+    /// The pool generation `predictor` was acquired at (see PredictorPool);
+    /// 0 for states that do not use the pool.
+    uint64_t clone_generation = 0;
   };
   /// `memoize_rows` configures the worker's DecisionPlane (see
   /// DecisionPlane's constructor).
   DecisionState MakeDecisionState(bool clone_predictor, int worker_index,
                                   bool memoize_rows) const;
   /// Session-level per-worker predictor clones, reused across SubmitBatch
-  /// calls — cloning a Q-net serializes megabytes of weights, far too
-  /// expensive to repeat per batch (defined in the .cc).
+  /// calls and re-synced from the live source at each acquisition (defined
+  /// in the .cc).
   struct PredictorPool;
+
+  /// Re-acquires the worker's clone from the pool and, when it was rebuilt
+  /// or its weights changed since `state` last saw it, points the state's
+  /// predictor and plane at it with the plane's memo cleared: a memoized
+  /// row is valid only for the weights that computed it. Predictors that
+  /// cannot clone are shared and report no changes, so they clear the memo
+  /// on every call. The plane must have no slot in use.
+  void SyncPredictor(DecisionState* state, int worker_index) const;
 
   /// Takes a run from the worker's pool (or makes one) and re-targets it at
   /// `item`: execution context, picker (on a fresh slot of the worker's
@@ -251,13 +273,25 @@ class LabelingService {
   LabelOutcome RunOne(const WorkItem& item, DecisionState* state,
                       uint64_t stream_id) const;
 
-  /// Co-schedules one worker's items: steps every kernel in rounds and
-  /// refreshes a shared DecisionPlane between rounds, so each event round
-  /// costs one batched forward pass instead of one pass per item.
-  void RunCoScheduled(const std::vector<const WorkItem*>& items,
-                      const std::vector<uint64_t>& stream_ids,
-                      const std::vector<LabelOutcome*>& outcomes,
-                      DecisionState* state) const;
+  /// The worker's session-lifetime SubmitBatch stepper, created at its
+  /// first call and re-synced with the clone pool at every later one.
+  /// Distinct workers may call this concurrently.
+  ItemStepper* BatchStepper(int worker_index);
+
+  /// Most items a SubmitBatch worker keeps resident with batched
+  /// prediction. Large enough to amortize a forward pass, small enough that
+  /// the resident kernels' state stays cache-resident: stepping a worker's
+  /// whole block at once measurably thrashes once hundreds of items cycle
+  /// per tick.
+  static constexpr int kBatchResident = 16;
+
+  /// Labels one SubmitBatch block — the indices in `block`, in arrival
+  /// order — through `stepper`, keeping at most kBatchResident items
+  /// resident with batched prediction and one without, refilling as items
+  /// complete, and writes each completion into `results` by ticket.
+  void StepBlock(ItemStepper* stepper, const std::vector<WorkItem>& items,
+                 const std::vector<int>& block, uint64_t live_base,
+                 std::vector<LabelOutcome>* results) const;
 
   Config config_;
   /// Present iff the session has a predictor; shared_ptr so the service
@@ -268,6 +302,13 @@ class LabelingService {
   DecisionState session_state_;
   bool session_state_ready_ = false;
   uint64_t live_sequence_ = 0;
+
+  /// SubmitBatch steppers by worker index (sessions without a policy).
+  std::vector<std::unique_ptr<ItemStepper>> batch_steppers_;
+  /// SubmitBatch's worker threads, created at the first multi-block call
+  /// and regrown when a call has more blocks than threads. Declared last so
+  /// its threads are joined before anything they could touch is destroyed.
+  std::unique_ptr<util::ThreadPool> batch_threads_;
 };
 
 class LabelingService::ItemStepper {
@@ -282,7 +323,8 @@ class LabelingService::ItemStepper {
   ItemStepper(const ItemStepper&) = delete;
   ItemStepper& operator=(const ItemStepper&) = delete;
 
-  /// Takes an item in flight and returns its ticket. `stream_id` seeds
+  /// Takes an item in flight and returns its ticket (consecutive from 0 over
+  /// the stepper's lifetime). `stream_id` seeds
   /// stream-dependent pickers; pass the stored item id for replayed items
   /// (Submit() parity) or a unique admission sequence number for live
   /// scenes. Items whose work is already done (recall target met before any
@@ -338,6 +380,7 @@ class LabelingService::ItemStepper {
     std::unique_ptr<ItemRun> run;
   };
 
+  /// Re-pointed by SubmitBatch at every call, since a session can move.
   const LabelingService* session_;
   /// Its plane (predictor-driven sessions) memoizes rows and is the one
   /// place the per-tick batched forward pass is issued.
@@ -397,9 +440,10 @@ class LabelingServiceBuilder {
   /// and recall but `schedule.executions`/`recalled_labels` stay empty. The
   /// offline recall-only paths (deadline/memory sweeps) run lean.
   LabelingServiceBuilder& WithKernelMode(KernelMode mode);
-  /// Coalesces the Q-queries of each SubmitBatch/Run worker's items into one
-  /// batched forward pass per event round (predictor-driven sessions only;
-  /// outcomes are bitwise identical to the scalar path).
+  /// Keeps up to 16 items resident per SubmitBatch/Run worker so their
+  /// Q-queries share one batched forward pass per tick; without it a worker
+  /// steps one item at a time (predictor-driven sessions only; outcomes are
+  /// bitwise identical either way).
   LabelingServiceBuilder& WithBatchedPrediction(bool batch);
   /// Worker threads for SubmitBatch/Run; <= 0 means hardware concurrency.
   LabelingServiceBuilder& WithWorkers(int workers);

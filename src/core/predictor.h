@@ -104,14 +104,24 @@ class ModelValuePredictor {
     return nullptr;
   }
 
+  /// What SyncWeightsFrom did.
+  enum class WeightSync {
+    /// Cannot sync from that source; callers rebuild the clone instead.
+    kUnsupported,
+    /// Every weight already matched the source: predictions are unchanged.
+    kUnchanged,
+    /// At least one weight was copied: predictions may differ from before.
+    kUpdated,
+  };
+
   /// Updates this predictor's parameters in place from `source` (a
-  /// same-architecture original this one was cloned from). Lets clone pools
-  /// track a live source cheaply — rl::Agent copies raw weights instead of
-  /// re-cloning through the checkpoint format. Returns false when
-  /// unsupported; callers then rebuild the clone to pick up changes.
-  virtual bool SyncWeightsFrom(ModelValuePredictor* source) {
+  /// same-architecture original this one was cloned from), so clone pools
+  /// track a live source without re-cloning. Reports whether any weight
+  /// changed, which is what decides whether rows memoized from this
+  /// predictor are still valid.
+  virtual WeightSync SyncWeightsFrom(ModelValuePredictor* source) {
     (void)source;
-    return false;
+    return WeightSync::kUnsupported;
   }
 };
 

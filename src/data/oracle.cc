@@ -20,6 +20,10 @@ Oracle::Oracle(const zoo::ModelZoo* zoo, const Dataset* dataset)
   true_total_value_.assign(static_cast<size_t>(n), 0.0);
   label_profit_.resize(static_cast<size_t>(n));
 
+  // Every stored vector is built exactly sized from one reused execution
+  // buffer: the oracle lives as long as its session, so growth slack would
+  // stay resident for every item and model.
+  std::vector<zoo::LabelOutput> scratch;
   for (int i = 0; i < n; ++i) {
     const zoo::LatentScene& scene = dataset->item(i).scene;
     auto& per_model = outputs_[static_cast<size_t>(i)];
@@ -29,13 +33,20 @@ Oracle::Oracle(const zoo::ModelZoo* zoo, const Dataset* dataset)
     std::vector<std::pair<int, double>>& profits =
         label_profit_[static_cast<size_t>(i)];
     for (int j = 0; j < m; ++j) {
-      per_model[static_cast<size_t>(j)] = zoo->Execute(j, scene);
+      zoo->ExecuteInto(j, scene, &scratch);
+      per_model[static_cast<size_t>(j)].assign(scratch.begin(), scratch.end());
       exec_time_[static_cast<size_t>(i)][static_cast<size_t>(j)] =
           zoo->SampleExecutionTime(j, scene);
+      std::vector<zoo::LabelOutput>& valuable =
+          per_model_valuable[static_cast<size_t>(j)];
+      valuable.reserve(static_cast<size_t>(
+          std::count_if(scratch.begin(), scratch.end(), [](const auto& out) {
+            return out.confidence >= zoo::kValuableConfidence;
+          })));
       double solo = 0.0;
-      for (const auto& out : per_model[static_cast<size_t>(j)]) {
+      for (const auto& out : scratch) {
         if (out.confidence < zoo::kValuableConfidence) continue;
-        per_model_valuable[static_cast<size_t>(j)].push_back(out);
+        valuable.push_back(out);
         solo += out.confidence;
         auto it = std::find_if(profits.begin(), profits.end(),
                                [&](const auto& p) {
@@ -50,6 +61,7 @@ Oracle::Oracle(const zoo::ModelZoo* zoo, const Dataset* dataset)
       solo_value_[static_cast<size_t>(i)][static_cast<size_t>(j)] = solo;
     }
     std::sort(profits.begin(), profits.end());
+    profits.shrink_to_fit();
     double total = 0.0;
     for (const auto& p : profits) total += p.second;
     true_total_value_[static_cast<size_t>(i)] = total;

@@ -2,6 +2,7 @@
 #define AMS_NN_LAYER_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -65,6 +66,10 @@ class DenseLayer {
   /// Returns false on malformed input.
   bool Load(util::BinaryReader* r);
 
+  /// A layer holding copies of this one's weights and bias and nothing else
+  /// (no gradient buffers, no storage shared with this layer).
+  DenseLayer CopyWeights() const { return DenseLayer(w_, b_); }
+
   int in_dim() const { return w_.rows(); }
   int out_dim() const { return w_.cols(); }
 
@@ -74,6 +79,9 @@ class DenseLayer {
   const std::vector<float>& bias() const { return b_; }
 
  private:
+  DenseLayer(Matrix w, std::vector<float> b)
+      : w_(std::move(w)), b_(std::move(b)) {}
+
   /// Sizes dw_/db_ to the weights' shape if they are not allocated yet.
   void AllocateGrads();
 

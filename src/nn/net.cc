@@ -1,6 +1,6 @@
 #include "nn/net.h"
 
-#include <sstream>
+#include <utility>
 
 #include "util/check.h"
 
@@ -52,16 +52,32 @@ size_t QValueNet::NumParams() {
 // ---------------------------------------------------------------------------
 // Mlp
 
-Mlp::Mlp(const MlpConfig& config, uint64_t seed) : config_(config) {
+namespace {
+
+// He-normal layers for `config`, drawn in layer order from one seeded
+// stream.
+std::vector<DenseLayer> RandomMlpLayers(const MlpConfig& config,
+                                        uint64_t seed) {
   AMS_CHECK(config.input_dim > 0 && config.output_dim > 0);
   util::Rng rng(seed);
+  std::vector<DenseLayer> layers;
   int prev = config.input_dim;
   for (int h : config.hidden_dims) {
     AMS_CHECK(h > 0);
-    layers_.emplace_back(prev, h, &rng);
+    layers.emplace_back(prev, h, &rng);
     prev = h;
   }
-  layers_.emplace_back(prev, config.output_dim, &rng);
+  layers.emplace_back(prev, config.output_dim, &rng);
+  return layers;
+}
+
+}  // namespace
+
+Mlp::Mlp(const MlpConfig& config, uint64_t seed)
+    : Mlp(config, RandomMlpLayers(config, seed)) {}
+
+Mlp::Mlp(const MlpConfig& config, std::vector<DenseLayer> layers)
+    : config_(config), layers_(std::move(layers)) {
   pre_act_.resize(layers_.size());
   post_act_.resize(layers_.size());
   grad_post_.resize(layers_.size());
@@ -144,13 +160,10 @@ bool Mlp::Load(util::BinaryReader* r) {
 }
 
 std::unique_ptr<QValueNet> Mlp::Clone() const {
-  auto clone = std::make_unique<Mlp>(config_, /*seed=*/0);
-  std::stringstream buf;
-  util::BinaryWriter w(&buf);
-  Save(&w);
-  util::BinaryReader r(&buf);
-  AMS_CHECK(clone->Load(&r), "clone round-trip failed");
-  return clone;
+  std::vector<DenseLayer> layers;
+  layers.reserve(layers_.size());
+  for (const DenseLayer& layer : layers_) layers.push_back(layer.CopyWeights());
+  return std::unique_ptr<QValueNet>(new Mlp(config_, std::move(layers)));
 }
 
 // ---------------------------------------------------------------------------
@@ -168,6 +181,18 @@ DuelingMlp::DuelingMlp(const MlpConfig& config, uint64_t seed) : config_(config)
   }
   value_head_ = std::make_unique<DenseLayer>(prev, 1, &rng);
   advantage_head_ = std::make_unique<DenseLayer>(prev, config.output_dim, &rng);
+  pre_act_.resize(trunk_.size());
+  post_act_.resize(trunk_.size());
+  grad_post_.resize(trunk_.size());
+  grad_pre_.resize(trunk_.size());
+}
+
+DuelingMlp::DuelingMlp(const MlpConfig& config, std::vector<DenseLayer> trunk,
+                       DenseLayer value_head, DenseLayer advantage_head)
+    : config_(config),
+      trunk_(std::move(trunk)),
+      value_head_(std::make_unique<DenseLayer>(std::move(value_head))),
+      advantage_head_(std::make_unique<DenseLayer>(std::move(advantage_head))) {
   pre_act_.resize(trunk_.size());
   post_act_.resize(trunk_.size());
   grad_post_.resize(trunk_.size());
@@ -301,13 +326,12 @@ bool DuelingMlp::Load(util::BinaryReader* r) {
 }
 
 std::unique_ptr<QValueNet> DuelingMlp::Clone() const {
-  auto clone = std::make_unique<DuelingMlp>(config_, /*seed=*/0);
-  std::stringstream buf;
-  util::BinaryWriter w(&buf);
-  Save(&w);
-  util::BinaryReader r(&buf);
-  AMS_CHECK(clone->Load(&r), "clone round-trip failed");
-  return clone;
+  std::vector<DenseLayer> trunk;
+  trunk.reserve(trunk_.size());
+  for (const DenseLayer& layer : trunk_) trunk.push_back(layer.CopyWeights());
+  return std::unique_ptr<QValueNet>(
+      new DuelingMlp(config_, std::move(trunk), value_head_->CopyWeights(),
+                     advantage_head_->CopyWeights()));
 }
 
 // ---------------------------------------------------------------------------

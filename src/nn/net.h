@@ -99,9 +99,14 @@ class Mlp : public QValueNet {
   void CollectWeights(std::vector<ParamGrad>* out) override;
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
+  /// Copies the weights directly; the clone holds no gradient buffers.
   std::unique_ptr<QValueNet> Clone() const override;
 
  private:
+  /// Takes ready layers (the seeded constructor's draws, or a clone's
+  /// copies) and sizes the activation caches.
+  Mlp(const MlpConfig& config, std::vector<DenseLayer> layers);
+
   MlpConfig config_;
   std::vector<DenseLayer> layers_;
   // Cached per-layer tensors from the last Forward.
@@ -136,9 +141,14 @@ class DuelingMlp : public QValueNet {
   void CollectWeights(std::vector<ParamGrad>* out) override;
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
+  /// Copies the weights directly, like Mlp::Clone.
   std::unique_ptr<QValueNet> Clone() const override;
 
  private:
+  /// Clone's constructor: takes ready copies of every layer.
+  DuelingMlp(const MlpConfig& config, std::vector<DenseLayer> trunk,
+             DenseLayer value_head, DenseLayer advantage_head);
+
   /// Q = V + A - mean(A) per row, shared by Forward and PredictBatch.
   void CombineHeads(int batch, Matrix* q) const;
 

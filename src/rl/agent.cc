@@ -1,6 +1,8 @@
 #include "rl/agent.h"
 
+#include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "nn/simd.h"
 #include "util/check.h"
@@ -75,15 +77,30 @@ std::unique_ptr<Agent> Agent::Clone() const {
   return std::make_unique<Agent>(net_->Clone(), kind_);
 }
 
-bool Agent::SyncWeightsFrom(core::ModelValuePredictor* source) {
+core::ModelValuePredictor::WeightSync Agent::SyncWeightsFrom(
+    core::ModelValuePredictor* source) {
   auto* other = dynamic_cast<Agent*>(source);
   if (other == nullptr || other->kind_ != kind_ ||
       other->net_->input_dim() != net_->input_dim() ||
       other->net_->output_dim() != net_->output_dim()) {
-    return false;
+    return WeightSync::kUnsupported;
   }
-  net_->CopyWeightsFrom(other->net_.get());
-  return true;
+  std::vector<nn::ParamGrad> mine, theirs;
+  net_->CollectWeights(&mine);
+  other->net_->CollectWeights(&theirs);
+  if (mine.size() != theirs.size()) return WeightSync::kUnsupported;
+  for (size_t i = 0; i < mine.size(); ++i) {
+    if (mine[i].size != theirs[i].size) return WeightSync::kUnsupported;
+  }
+  WeightSync result = WeightSync::kUnchanged;
+  for (size_t i = 0; i < mine.size(); ++i) {
+    // Bitwise, not ==: a sign-flipped zero or a NaN payload is a change.
+    const size_t bytes = mine[i].size * sizeof(float);
+    if (std::memcmp(mine[i].param, theirs[i].param, bytes) == 0) continue;
+    std::memcpy(mine[i].param, theirs[i].param, bytes);
+    result = WeightSync::kUpdated;
+  }
+  return result;
 }
 
 }  // namespace ams::rl

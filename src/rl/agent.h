@@ -52,9 +52,10 @@ class Agent : public core::ModelValuePredictor {
     return Clone();
   }
 
-  /// Raw weight copy from a same-architecture agent (no checkpoint
-  /// round-trip), so pooled clones can track a live source per batch.
-  bool SyncWeightsFrom(core::ModelValuePredictor* source) override;
+  /// Compares every weight tensor with a same-architecture agent's and
+  /// copies the ones that differ, so pooled clones track a live source per
+  /// batch and report whether it moved.
+  WeightSync SyncWeightsFrom(core::ModelValuePredictor* source) override;
 
  private:
   std::unique_ptr<nn::QValueNet> net_;

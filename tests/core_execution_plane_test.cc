@@ -2,8 +2,10 @@
 // (bitwise parity on rl::Agent, on DecisionPlane refreshes with and without
 // a caller arena, on Q-form and profit-form planes, and identical service
 // outcomes), table-driven vs per-model-scan pickers (identical schedules),
-// lean vs full kernel mode (identical value/makespan/recall), and the
-// builder validation of the knobs.
+// lean vs full kernel mode (identical value/makespan/recall), the validity
+// of SubmitBatch's session-lifetime row memo across calls (live weight
+// changes, shared predictors, rebuilt clones), and the builder validation
+// of the knobs.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/decision_plane.h"
@@ -76,6 +79,48 @@ class CountingPredictor : public ModelValuePredictor {
   std::atomic<long>* batch_calls_;
 };
 
+// Deterministic predictor whose rows depend on the labeling state and on a
+// phase the test flips between SubmitBatch calls: even models lead in phase
+// 0 and odd ones in phase 1, so a row memoized in one phase schedules
+// differently in the other. The default predictor cannot clone (workers
+// share it; it only reads between calls); a clonable one copies its phase
+// into each clone and cannot sync, so the session pool rebuilds its clones
+// at every acquisition. `clones` counts clones made.
+class PhasedPredictor : public ModelValuePredictor {
+ public:
+  PhasedPredictor(int num_actions, int phase, bool clonable = false,
+                  std::atomic<int>* clones = nullptr)
+      : num_actions_(num_actions),
+        phase_(phase),
+        clonable_(clonable),
+        clones_(clones) {}
+  void set_phase(int phase) { phase_ = phase; }
+  std::vector<double> PredictValues(
+      const std::vector<float>& features) override {
+    int set = 0;
+    for (const float f : features) set += f != 0.0f;
+    std::vector<double> q(static_cast<size_t>(num_actions_));
+    for (int a = 0; a + 1 < num_actions_; ++a) {
+      q[static_cast<size_t>(a)] =
+          (a % 2 == phase_ ? 2.0 : -2.0) + 0.01 * a - 0.001 * set;
+    }
+    q.back() = -1.0;
+    return q;
+  }
+  int num_actions() const override { return num_actions_; }
+  std::unique_ptr<ModelValuePredictor> ClonePredictor() const override {
+    if (!clonable_) return nullptr;
+    if (clones_ != nullptr) ++*clones_;
+    return std::make_unique<PhasedPredictor>(*this);
+  }
+
+ private:
+  int num_actions_;
+  int phase_;
+  bool clonable_;
+  std::atomic<int>* clones_;
+};
+
 class ExecutionPlaneTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -110,6 +155,35 @@ class ExecutionPlaneTest : public ::testing::Test {
     EXPECT_EQ(a.schedule.makespan_s, b.schedule.makespan_s);
     EXPECT_EQ(a.schedule.peak_mem_mb, b.schedule.peak_mem_mb);
     EXPECT_EQ(a.schedule.num_executions, b.schedule.num_executions);
+  }
+
+  // ExpectSameOutcome plus the full-mode execution sequence.
+  static void ExpectSameSchedule(const LabelOutcome& a, const LabelOutcome& b,
+                                 size_t item) {
+    SCOPED_TRACE("item " + std::to_string(item));
+    ExpectSameOutcome(a, b);
+    ASSERT_EQ(a.schedule.executions.size(), b.schedule.executions.size());
+    for (size_t k = 0; k < a.schedule.executions.size(); ++k) {
+      EXPECT_EQ(a.schedule.executions[k].model_id,
+                b.schedule.executions[k].model_id);
+      EXPECT_EQ(a.schedule.executions[k].finish_s,
+                b.schedule.executions[k].finish_s);
+    }
+  }
+
+  // True when some item's execution sequence differs between the two runs:
+  // the change between them reached the schedules at all.
+  static bool AnyScheduleDiffers(const std::vector<LabelOutcome>& a,
+                                 const std::vector<LabelOutcome>& b) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      const auto& x = a[i].schedule.executions;
+      const auto& y = b[i].schedule.executions;
+      if (x.size() != y.size()) return true;
+      for (size_t k = 0; k < x.size(); ++k) {
+        if (x[k].model_id != y[k].model_id) return true;
+      }
+    }
+    return false;
   }
 
   static zoo::ModelZoo* zoo_;
@@ -615,29 +689,121 @@ TEST_F(ExecutionPlaneTest, MemorySweepLeanPathMatchesFullRecall) {
 }
 
 TEST_F(ExecutionPlaneTest, PooledWorkerClonesTrackLiveWeights) {
-  // The session pools per-worker clones across batches; mutating the source
-  // predictor between batches (training step, checkpoint reload) must still
-  // be picked up, as if the clones were rebuilt per batch.
-  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 41);
+  // Each SubmitBatch worker keeps its predictor clone and its Q-row memo
+  // for the session's lifetime. Mutating the source predictor between
+  // batches (a training step, a checkpoint reload) must still be picked up:
+  // the second call equals a fresh session's outcomes bitwise, with
+  // batched prediction on and off, for Algorithms 1 and 2.
+  std::unique_ptr<rl::Agent> agent_template =
+      MakeAgent(*zoo_, nn::NetKind::kMlp, 41);
   std::unique_ptr<rl::Agent> other = MakeAgent(*zoo_, nn::NetKind::kMlp, 43);
-  const std::vector<WorkItem> items = StoredItems(16);
-  auto build = [&](rl::Agent* predictor) {
-    return LabelingServiceBuilder(zoo_)
-        .WithOracle(oracle_)
-        .WithPredictor(predictor)
-        .WithMode(ExecutionMode::kParallel)
-        .WithConstraints(ParallelConstraints())
-        .WithWorkers(2)
-        .Build();
-  };
-  LabelingService service = build(agent.get());
-  service.SubmitBatch(items);  // clones created with agent's initial weights
-  agent->net()->CopyWeightsFrom(other->net());
-  const std::vector<LabelOutcome> after = service.SubmitBatch(items);
-  LabelingService fresh = build(other.get());
-  const std::vector<LabelOutcome> expected = fresh.SubmitBatch(items);
-  for (size_t i = 0; i < items.size(); ++i) {
-    ExpectSameOutcome(expected[i], after[i]);
+  const std::vector<WorkItem> items = StoredItems(32);
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSerial, ExecutionMode::kParallel}) {
+    for (const bool batched : {false, true}) {
+      SCOPED_TRACE(std::string(mode == ExecutionMode::kSerial ? "serial"
+                                                              : "parallel") +
+                   (batched ? " batched" : " scalar"));
+      ScheduleConstraints constraints = ParallelConstraints();
+      if (mode == ExecutionMode::kSerial) {
+        constraints.memory_budget_mb = ScheduleConstraints().memory_budget_mb;
+      }
+      auto build = [&](rl::Agent* predictor) {
+        return LabelingServiceBuilder(zoo_)
+            .WithOracle(oracle_)
+            .WithPredictor(predictor)
+            .WithMode(mode)
+            .WithConstraints(constraints)
+            .WithBatchedPrediction(batched)
+            .WithWorkers(2)
+            .Build();
+      };
+      std::unique_ptr<rl::Agent> agent = agent_template->Clone();
+      LabelingService service = build(agent.get());
+      // Clones and memos are created with agent's initial weights.
+      const std::vector<LabelOutcome> before = service.SubmitBatch(items);
+      agent->net()->CopyWeightsFrom(other->net());
+      const std::vector<LabelOutcome> after = service.SubmitBatch(items);
+      // Unchanged weights: the memo carries into the third call.
+      const std::vector<LabelOutcome> again = service.SubmitBatch(items);
+      LabelingService fresh = build(other.get());
+      const std::vector<LabelOutcome> expected = fresh.SubmitBatch(items);
+      EXPECT_TRUE(AnyScheduleDiffers(before, expected))
+          << "the weight change must move some schedule";
+      for (size_t i = 0; i < items.size(); ++i) {
+        ExpectSameSchedule(expected[i], after[i], i);
+        ExpectSameSchedule(expected[i], again[i], i);
+      }
+    }
+  }
+}
+
+TEST_F(ExecutionPlaneTest, SharedPredictorRowsArePickedUpAcrossCalls) {
+  // A predictor that cannot clone is shared by every worker and reports no
+  // weight changes, so no memoized row may outlive a SubmitBatch call.
+  const std::vector<WorkItem> items = StoredItems(32);
+  const int num_actions = zoo_->num_models() + 1;
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "scalar");
+    auto build = [&](ModelValuePredictor* predictor) {
+      return LabelingServiceBuilder(zoo_)
+          .WithOracle(oracle_)
+          .WithPredictor(predictor)
+          .WithMode(ExecutionMode::kParallel)
+          .WithConstraints(ParallelConstraints())
+          .WithBatchedPrediction(batched)
+          .WithWorkers(2)
+          .Build();
+    };
+    PhasedPredictor shared(num_actions, /*phase=*/0);
+    LabelingService service = build(&shared);
+    const std::vector<LabelOutcome> before = service.SubmitBatch(items);
+    shared.set_phase(1);
+    const std::vector<LabelOutcome> after = service.SubmitBatch(items);
+    PhasedPredictor phase1(num_actions, /*phase=*/1);
+    LabelingService fresh = build(&phase1);
+    const std::vector<LabelOutcome> expected = fresh.SubmitBatch(items);
+    EXPECT_TRUE(AnyScheduleDiffers(before, expected));
+    for (size_t i = 0; i < items.size(); ++i) {
+      ExpectSameSchedule(expected[i], after[i], i);
+    }
+  }
+}
+
+TEST_F(ExecutionPlaneTest, RebuiltClonesReplaceTheStepperPredictor) {
+  // A clone that cannot sync is rebuilt by the pool at every call, and the
+  // old one destroyed: each worker's stepper must move onto the new clone
+  // (never touch the destroyed one) and drop the old clone's rows.
+  const std::vector<WorkItem> items = StoredItems(32);
+  const int num_actions = zoo_->num_models() + 1;
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "scalar");
+    auto build = [&](ModelValuePredictor* predictor) {
+      return LabelingServiceBuilder(zoo_)
+          .WithOracle(oracle_)
+          .WithPredictor(predictor)
+          .WithMode(ExecutionMode::kParallel)
+          .WithConstraints(ParallelConstraints())
+          .WithBatchedPrediction(batched)
+          .WithWorkers(2)
+          .Build();
+    };
+    std::atomic<int> clones{0};
+    PhasedPredictor source(num_actions, /*phase=*/0, /*clonable=*/true,
+                           &clones);
+    LabelingService service = build(&source);
+    const std::vector<LabelOutcome> before = service.SubmitBatch(items);
+    EXPECT_EQ(clones.load(), 2);
+    source.set_phase(1);
+    const std::vector<LabelOutcome> after = service.SubmitBatch(items);
+    EXPECT_EQ(clones.load(), 4) << "each worker's clone is rebuilt per call";
+    PhasedPredictor phase1(num_actions, /*phase=*/1, /*clonable=*/true);
+    LabelingService fresh = build(&phase1);
+    const std::vector<LabelOutcome> expected = fresh.SubmitBatch(items);
+    EXPECT_TRUE(AnyScheduleDiffers(before, expected));
+    for (size_t i = 0; i < items.size(); ++i) {
+      ExpectSameSchedule(expected[i], after[i], i);
+    }
   }
 }
 

@@ -337,6 +337,88 @@ TEST_F(LabelingServiceTest, InterleavedChunksStayWithOneWorker) {
   }
 }
 
+TEST_F(LabelingServiceTest, BatchWorkersSurviveMovesAndVaryingCallSizes) {
+  // SubmitBatch keeps its worker threads and steppers at session level.
+  // Calls of different sizes (hence block counts), a moved session and a
+  // session assigned over one with live threads must all label exactly as
+  // a fresh session does, and every destroyed or moved-from session must
+  // join its threads cleanly.
+  StaticPredictor predictor(UniformQ(1.0, -5.0));
+  ScheduleConstraints constraints;
+  constraints.time_budget_s = 1.0;
+  constraints.memory_budget_mb = 8000.0;
+  const auto build = [&] {
+    return LabelingServiceBuilder(zoo_)
+        .WithOracle(oracle_)
+        .WithPredictor(&predictor)
+        .WithMode(ExecutionMode::kParallel)
+        .WithConstraints(constraints)
+        .WithBatchedPrediction(true)
+        .WithWorkers(3)
+        .Build();
+  };
+  const auto expect_same = [](const std::vector<LabelOutcome>& a,
+                              const std::vector<LabelOutcome>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].recall, b[i].recall) << "item " << i;
+      EXPECT_EQ(a[i].schedule.makespan_s, b[i].schedule.makespan_s);
+      EXPECT_EQ(a[i].schedule.num_executions, b[i].schedule.num_executions);
+    }
+  };
+  const std::vector<WorkItem> many = StoredItems(40);
+  const std::vector<WorkItem> two = StoredItems(2);
+  const std::vector<LabelOutcome> expected_many = build().SubmitBatch(many);
+  const std::vector<LabelOutcome> expected_two = build().SubmitBatch(two);
+
+  LabelingService service = build();
+  expect_same(service.SubmitBatch(two), expected_two);    // 2 threads
+  expect_same(service.SubmitBatch(many), expected_many);  // regrown to 3
+  LabelingService moved(std::move(service));
+  expect_same(moved.SubmitBatch(many), expected_many);
+  LabelingService target = build();
+  expect_same(target.SubmitBatch(many), expected_many);
+  target = std::move(moved);  // joins target's own threads
+  expect_same(target.SubmitBatch(two), expected_two);
+}
+
+TEST_F(LabelingServiceTest, BatchedLiveRandomPackingMatchesSequentialSubmit) {
+  // Random packing seeds each item's picker by its stream id; SubmitBatch
+  // numbers live items from the session's live sequence exactly as
+  // consecutive Submit calls do, so the two must agree item for item.
+  ScheduleConstraints constraints;
+  constraints.time_budget_s = 0.5;
+  constraints.memory_budget_mb = 8000.0;
+  const auto build = [&] {
+    return LabelingServiceBuilder(zoo_)
+        .WithMode(ExecutionMode::kParallelRandom)
+        .WithConstraints(constraints)
+        .WithSeed(9)
+        .WithWorkers(3)
+        .Build();
+  };
+  std::vector<WorkItem> scenes;
+  for (int i = 0; i < 24; ++i) {
+    scenes.push_back(WorkItem::Live(&dataset_->item(i).scene));
+  }
+  LabelingService batched = build();
+  LabelingService sequential = build();
+  for (int call = 0; call < 2; ++call) {
+    const std::vector<LabelOutcome> outcomes = batched.SubmitBatch(scenes);
+    for (size_t i = 0; i < scenes.size(); ++i) {
+      const LabelOutcome expected = sequential.Submit(scenes[i]);
+      EXPECT_EQ(outcomes[i].schedule.value, expected.schedule.value)
+          << "call " << call << " item " << i;
+      ASSERT_EQ(outcomes[i].schedule.executions.size(),
+                expected.schedule.executions.size());
+      for (size_t k = 0; k < expected.schedule.executions.size(); ++k) {
+        EXPECT_EQ(outcomes[i].schedule.executions[k].model_id,
+                  expected.schedule.executions[k].model_id);
+      }
+    }
+  }
+}
+
 TEST_F(LabelingServiceTest, ParallelModeHonoursMemoryBudget) {
   StaticPredictor predictor(UniformQ(1.0, -5.0));
   ScheduleConstraints constraints;

@@ -1,9 +1,10 @@
 // Unit tests of the dense networks: numerically checked gradients for both
-// architectures, serialization round trips, clone independence, and lazily
-// allocated gradient buffers.
+// architectures, serialization round trips, clones (bitwise copies sharing
+// no storage), and lazily allocated gradient buffers.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "nn/grad_check.h"
@@ -203,6 +204,79 @@ TEST(NetTest, CloneIsDeepCopy) {
   }
 }
 
+TEST(NetTest, CloneCopiesWeightsBitwiseAndSharesNoStorage) {
+  // A clone is built straight from the source's weights: every tensor
+  // equal bitwise in its own storage, so Q rows match the source's exactly
+  // and a later training step on the source leaves the clone untouched.
+  const MlpConfig config{6, {8, 5}, 4};
+  for (const bool dueling : {false, true}) {
+    std::unique_ptr<QValueNet> source;
+    if (dueling) {
+      source = std::make_unique<DuelingMlp>(config, 31);
+    } else {
+      source = std::make_unique<Mlp>(config, 31);
+    }
+    std::vector<ParamGrad> source_params;
+    source->CollectParams(&source_params);  // a trained source has gradients
+    Adam adam(0.05f);
+    const auto train_step = [&](uint64_t seed) {
+      const Matrix x = RandomBatch(4, 6, seed);
+      const Matrix grad_q = RandomBatch(4, 4, seed + 1);
+      Matrix q;
+      source->Forward(x, &q);
+      source->Backward(grad_q);
+      adam.Step(source_params);
+    };
+    train_step(60);
+    std::unique_ptr<QValueNet> clone = source->Clone();
+
+    std::vector<ParamGrad> src_w, clone_w;
+    source->CollectWeights(&src_w);
+    clone->CollectWeights(&clone_w);
+    ASSERT_EQ(src_w.size(), clone_w.size());
+    std::vector<std::vector<float>> cloned_values;
+    for (size_t t = 0; t < src_w.size(); ++t) {
+      ASSERT_EQ(src_w[t].size, clone_w[t].size);
+      EXPECT_NE(src_w[t].param, clone_w[t].param) << "tensor " << t;
+      EXPECT_EQ(std::memcmp(src_w[t].param, clone_w[t].param,
+                            src_w[t].size * sizeof(float)),
+                0)
+          << "dueling=" << dueling << " tensor " << t;
+      cloned_values.emplace_back(clone_w[t].param,
+                                 clone_w[t].param + clone_w[t].size);
+    }
+
+    const Matrix x = RandomBatch(3, 6, 70);
+    Matrix q_source, q_clone;
+    source->Forward(x, &q_source);
+    clone->Forward(x, &q_clone);
+    ASSERT_EQ(q_source.size(), q_clone.size());
+    EXPECT_EQ(std::memcmp(q_source.data(), q_clone.data(),
+                          q_source.size() * sizeof(float)),
+              0)
+        << "dueling=" << dueling;
+
+    train_step(80);
+    Matrix q_source_after, q_clone_after;
+    source->Forward(x, &q_source_after);
+    clone->Forward(x, &q_clone_after);
+    EXPECT_NE(std::memcmp(q_source.data(), q_source_after.data(),
+                          q_source.size() * sizeof(float)),
+              0)
+        << "the training step must move the source";
+    EXPECT_EQ(std::memcmp(q_clone.data(), q_clone_after.data(),
+                          q_clone.size() * sizeof(float)),
+              0)
+        << "dueling=" << dueling;
+    for (size_t t = 0; t < clone_w.size(); ++t) {
+      EXPECT_EQ(std::memcmp(cloned_values[t].data(), clone_w[t].param,
+                            clone_w[t].size * sizeof(float)),
+                0)
+          << "dueling=" << dueling << " tensor " << t;
+    }
+  }
+}
+
 TEST(NetTest, CopyWeightsFromSynchronizesTargets) {
   MlpConfig config{5, {6}, 3};
   Mlp online(config, 1);
@@ -245,7 +319,7 @@ TEST(NetTest, GradientAllocationOrderDoesNotChangeOptimizerSteps) {
     } else {
       source = std::make_unique<Mlp>(config, 21);
     }
-    // Clones come from Load, the serving-clone path: no gradients yet.
+    // Clones copy weights only, the serving-clone path: no gradients yet.
     std::unique_ptr<QValueNet> collect_first = source->Clone();
     std::unique_ptr<QValueNet> backward_first = source->Clone();
     Adam adam_a(0.01f), adam_b(0.01f);
